@@ -19,6 +19,7 @@ package repro_test
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"runtime"
@@ -52,8 +53,10 @@ func benchConfig() core.Config {
 // paper used 104³ on real hardware; the fast-pathed simulator defaults to
 // 32³ with the paper's 4 multigrid levels). REPRO_BENCH_NX overrides the
 // box dimension — e.g. REPRO_BENCH_NX=16 reproduces the historical scale
-// for benchstat comparisons, REPRO_BENCH_NX=104 runs paper scale.
-func benchParams() hpcg.Params {
+// for benchstat comparisons, REPRO_BENCH_NX=104 runs paper scale. The box
+// is reported on b as the nx and mg-levels metrics, so every capture of a
+// bench that runs it records its size.
+func benchParams(b *testing.B) hpcg.Params {
 	nx := 32
 	if s := os.Getenv("REPRO_BENCH_NX"); s != "" {
 		if v, err := strconv.Atoi(s); err == nil && v > 0 {
@@ -75,6 +78,8 @@ func benchParams() hpcg.Params {
 	for levels > 1 && nx%(1<<(levels-1)) != 0 {
 		levels--
 	}
+	b.ReportMetric(float64(nx), "nx")
+	b.ReportMetric(float64(levels), "mg-levels")
 	return hpcg.Params{NX: nx, NY: nx, NZ: nx, MGLevels: levels, MaxIters: 3}
 }
 
@@ -93,7 +98,7 @@ func runHPCG(b *testing.B, cfg core.Config, params hpcg.Params) *core.HPCGRun {
 func BenchmarkFig1aCodeLineTimeline(b *testing.B) {
 	var phases, letters int
 	for i := 0; i < b.N; i++ {
-		run := runHPCG(b, benchConfig(), benchParams())
+		run := runHPCG(b, benchConfig(), benchParams(b))
 		if err := run.Figure1().RenderCodeLines(io.Discard); err != nil {
 			b.Fatal(err)
 		}
@@ -117,7 +122,7 @@ func BenchmarkFig1aCodeLineTimeline(b *testing.B) {
 func BenchmarkFig1bAddressTimeline(b *testing.B) {
 	var samples, matrixStores, matrixLoads uint64
 	for i := 0; i < b.N; i++ {
-		run := runHPCG(b, benchConfig(), benchParams())
+		run := runHPCG(b, benchConfig(), benchParams(b))
 		if err := run.Figure1().RenderAddresses(io.Discard); err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +143,7 @@ func BenchmarkFig1bAddressTimeline(b *testing.B) {
 func BenchmarkFig1cCounterTimeline(b *testing.B) {
 	var peak, ipc float64
 	for i := 0; i < b.N; i++ {
-		run := runHPCG(b, benchConfig(), benchParams())
+		run := runHPCG(b, benchConfig(), benchParams(b))
 		if err := run.Figure1().RenderCounters(io.Discard); err != nil {
 			b.Fatal(err)
 		}
@@ -159,7 +164,7 @@ func BenchmarkFig1cCounterTimeline(b *testing.B) {
 func BenchmarkBandwidthByRegion(b *testing.B) {
 	var a1bw, a2bw, bbw float64
 	for i := 0; i < b.N; i++ {
-		run := runHPCG(b, benchConfig(), benchParams())
+		run := runHPCG(b, benchConfig(), benchParams(b))
 		if p, ok := run.PhaseByLabel("a1"); ok {
 			a1bw = p.SpanBandwidth / 1e6
 		}
@@ -185,7 +190,7 @@ func BenchmarkObjectAccounting(b *testing.B) {
 	var ratio float64
 	var matrixRefs, mapRefs uint64
 	for i := 0; i < b.N; i++ {
-		run := runHPCG(b, benchConfig(), benchParams())
+		run := runHPCG(b, benchConfig(), benchParams(b))
 		m, g := run.MatrixGroup(), run.MapGroup()
 		if m == nil || g == nil {
 			b.Fatal("groups missing")
@@ -205,10 +210,10 @@ func BenchmarkGroupingResolution(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchConfig()
 		cfg.Monitor.MinTrackSize = 1024
-		pu := benchParams()
+		pu := benchParams(b)
 		pu.DisableGrouping = true
 		runU := runHPCG(b, cfg, pu)
-		runG := runHPCG(b, cfg, benchParams())
+		runG := runHPCG(b, cfg, benchParams(b))
 		ungrouped = runU.Session.Mon.Registry().ResolutionRate()
 		grouped = runG.Session.Mon.Registry().ResolutionRate()
 	}
@@ -255,7 +260,7 @@ func BenchmarkMachineHPCG(b *testing.B) {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
 			var minPhases, letters int
 			for i := 0; i < b.N; i++ {
-				run, err := core.RunHPCGParallel(nil, benchConfig(), benchParams(), threads)
+				run, err := core.RunHPCGParallel(nil, benchConfig(), benchParams(b), threads)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -332,7 +337,7 @@ func BenchmarkAblationSamplingPeriod(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig()
 				cfg.Monitor.PEBS.Period = period
-				run := runHPCG(b, cfg, benchParams())
+				run := runHPCG(b, cfg, benchParams(b))
 				samples = len(run.Folded.Mem)
 				st := run.Session.Mon.Engine().Stats()
 				// Drain overhead cycles relative to total cycles.
@@ -372,7 +377,7 @@ func BenchmarkAblationKernelBandwidth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig()
 				cfg.Folding.Bandwidth = bw.val
-				run := runHPCG(b, cfg, benchParams())
+				run := runHPCG(b, cfg, benchParams(b))
 				phases = len(run.Folded.Phases)
 				peak = 0
 				for _, v := range run.Folded.MIPS() {
@@ -400,7 +405,7 @@ func BenchmarkAblationPrefetcher(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig()
 				cfg.Cache.NextLinePrefetch = pf
-				run := runHPCG(b, cfg, benchParams())
+				run := runHPCG(b, cfg, benchParams(b))
 				var total, dram int
 				for _, mp := range run.Folded.Mem {
 					total++
@@ -466,7 +471,7 @@ func BenchmarkAblationGroupThreshold(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig()
 				cfg.Monitor.MinTrackSize = th.val
-				p := benchParams()
+				p := benchParams(b)
 				p.DisableGrouping = true
 				run := runHPCG(b, cfg, p)
 				rate = run.Session.Mon.Registry().ResolutionRate()
@@ -582,13 +587,16 @@ func BenchmarkPEBSObserve(b *testing.B) {
 	}
 }
 
-// BenchmarkFoldingFold measures the analysis cost on a synthetic trace.
+// BenchmarkFoldingFold measures the analysis cost on a synthetic trace in
+// which every counter increments in every instance, as in a figure run, so
+// all of them fold one shared sigma cloud.
 func BenchmarkFoldingFold(b *testing.B) {
 	instances := make([]folding.Instance, 50)
 	for k := range instances {
 		in := folding.Instance{T0: uint64(k) * 1000, T1: uint64(k)*1000 + 900}
-		in.C1[cpu.CtrInstructions] = 100000
-		in.C1[cpu.CtrCycles] = 200000
+		for c := range in.C1 {
+			in.C1[c] = 100000 * uint64(c+1)
+		}
 		for i := 0; i < 100; i++ {
 			sigma := float64(i) / 100
 			s := folding.Sample{
@@ -596,8 +604,11 @@ func BenchmarkFoldingFold(b *testing.B) {
 				Addr:   0x1000 + uint64(i*64),
 				IP:     0x400000,
 			}
-			s.Counters[cpu.CtrInstructions] = uint64(sigma * 100000)
-			s.Counters[cpu.CtrCycles] = uint64(sigma * 200000)
+			// Counter c accumulates as sigma^(1+c/4): one distinct curve
+			// per counter.
+			for c := range s.Counters {
+				s.Counters[c] = uint64(math.Pow(sigma, 1+float64(c)/4) * float64(in.C1[c]))
+			}
 			in.Samples = append(in.Samples, s)
 		}
 		instances[k] = in
@@ -653,6 +664,66 @@ func BenchmarkTraceEncode(b *testing.B) {
 		if err := trace.WriteBinary(io.Discard, 1, 1, 0, recs); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPRVEncode measures PRV text encoding through trace.Writer: one
+// op writes a batch of 10 000 records shaped like a PEBS sample of the
+// figure trace (seven sample pairs and one pair per counter) through one
+// long-lived Writer, so the steady state is the line encoder alone
+// (0 allocs/op).
+func BenchmarkPRVEncode(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	recs := make([]trace.Record, 10000)
+	for i := range recs {
+		pairs := []trace.TypeValue{
+			{Type: trace.TypeSampleAddr, Value: 0x7f0000000000 + rng.Int63n(1<<30)},
+			{Type: trace.TypeSampleLatency, Value: 4 + rng.Int63n(300)},
+			{Type: trace.TypeSampleSource, Value: rng.Int63n(4)},
+			{Type: trace.TypeSampleStore, Value: rng.Int63n(2)},
+			{Type: trace.TypeSampleIP, Value: 0x400000 + rng.Int63n(1<<16)},
+			{Type: trace.TypeSampleStack, Value: rng.Int63n(64)},
+			{Type: trace.TypeSampleSize, Value: 8},
+		}
+		for c := cpu.CounterID(0); c < cpu.NumCounters; c++ {
+			pairs = append(pairs, trace.TypeValue{Type: trace.TypeCounterBase + uint32(c), Value: rng.Int63n(1 << 40)})
+		}
+		recs[i] = trace.Record{TimeNs: uint64(i) * 100, Task: 1, Thread: 1, Pairs: pairs}
+	}
+	// Batch k starts k ms after batch 0 on a 13-digit clock, so batches
+	// stay in time order and each encodes to the same number of bytes.
+	const epochNs, batchNs = 1_000_000_000_000, 1_000_000
+	writeBatch := func(w *trace.Writer, k int) {
+		for _, r := range recs {
+			r.TimeNs += epochNs + uint64(k)*batchNs
+			if err := w.Write(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	encoded := func(batches int) int64 {
+		var cw countingWriter
+		w, err := trace.NewWriter(&cw, 1, 1, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for k := 0; k < batches; k++ {
+			writeBatch(w, k)
+		}
+		if err := w.Close(); err != nil {
+			b.Fatal(err)
+		}
+		return cw.n
+	}
+	b.SetBytes(encoded(1) - encoded(0))
+	w, err := trace.NewWriter(io.Discard, 1, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		writeBatch(w, i)
 	}
 }
 

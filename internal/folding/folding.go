@@ -87,13 +87,30 @@ func ExtractThread(records []trace.Record, region int64, task, thread int) ([]In
 
 // extract implements Extract and ExtractThread; task == 0 disables the
 // emitter filter.
+//
+// Every instance's samples live in one backing slice, sized up front by the
+// emitter's sample records (the ones outside any instance make it an upper
+// bound), so it never grows. Each instance gets a capacity-capped
+// sub-slice: an append through one instance's Samples cannot overwrite the
+// next instance's.
 func extract(records []trace.Record, region int64, task, thread int) ([]Instance, error) {
+	mine := func(rec *trace.Record) bool {
+		return task == 0 || (rec.Task == task && rec.Thread == thread)
+	}
+	n := 0
+	for i := range records {
+		if rec := &records[i]; mine(rec) && rec.Has(trace.TypeSampleAddr) {
+			n++
+		}
+	}
+	samples := make([]Sample, 0, n)
 	var out []Instance
 	var cur *Instance
+	first := 0 // index in samples of the current instance's first sample
 	depth := 0 // nested sub-regions opened inside the current instance
 	for i := range records {
 		rec := &records[i]
-		if task != 0 && (rec.Task != task || rec.Thread != thread) {
+		if !mine(rec) {
 			continue
 		}
 		if v, ok := rec.Get(trace.TypeRegion); ok {
@@ -103,6 +120,7 @@ func extract(records []trace.Record, region int64, task, thread int) ([]Instance
 					return nil, fmt.Errorf("folding: nested instance of region %d at %d ns", region, rec.TimeNs)
 				}
 				cur = &Instance{T0: rec.TimeNs, C0: countersOf(rec)}
+				first = len(samples)
 				depth = 0
 			case v > 0 && cur != nil:
 				depth++
@@ -117,6 +135,7 @@ func extract(records []trace.Record, region int64, task, thread int) ([]Instance
 				// well-nested and indistinguishable from this case.)
 				cur.T1 = rec.TimeNs
 				cur.C1 = countersOf(rec)
+				cur.Samples = samples[first:len(samples):len(samples)]
 				out = append(out, *cur)
 				cur = nil
 			}
@@ -148,7 +167,7 @@ func extract(records []trace.Record, region int64, task, thread int) ([]Instance
 			if v, ok := rec.Get(trace.TypeSampleSize); ok {
 				s.Size = int(v)
 			}
-			cur.Samples = append(cur.Samples, s)
+			samples = append(samples, s)
 		}
 	}
 	return out, nil
@@ -336,55 +355,69 @@ func Fold(instances []Instance, cfg Config) (*Folded, error) {
 		f.MeanTotals[c] /= float64(len(kept))
 	}
 
-	// Fold the counters: gather (sigma, cumulative fraction) points. The
-	// gather buffers are shared across counters (each iteration truncates
-	// and refills them), cutting the per-Fold allocation count: the fitted
-	// curves copy what they need, nothing retains xs/ys.
+	// Fold the counters: gather (sigma, cumulative fraction) points. A
+	// counter cloud holds at most two anchors per instance plus its samples,
+	// so every gather buffer is sized once. Each counter whose sigmas equal
+	// the first non-empty cloud's (typically all of them: they share the
+	// instances and samples) is fitted in one FitMulti call, which sorts the
+	// cloud and evaluates the kernel once for all of them. A counter whose
+	// cloud differs (an instance where it does not increment, a fraction
+	// outside [0,1]) is fitted on its own afterwards, from a regathered
+	// cloud, so no more than one differing cloud is ever held.
+	var nSamples int
+	for i := range kept {
+		nSamples += len(kept[i].Samples)
+	}
+	size := 2*len(kept) + nSamples
 	sm := stats.Smoother{Kernel: cfg.Kernel, Bandwidth: cfg.Bandwidth, Lo: 0, Hi: 1}
-	var xs, ys []float64
+	var ref, xs, ys []float64
+	var shared, own []cpu.CounterID
+	var sharedYs [][]float64
 	for c := cpu.CounterID(0); c < cpu.NumCounters; c++ {
-		xs, ys = foldCounter(kept, c, xs[:0], ys[:0])
-		if len(xs) == 0 {
+		xs, ys = foldCounter(kept, c, slices.Grow(xs[:0], size), slices.Grow(ys[:0], size))
+		switch {
+		case len(xs) == 0:
 			// The counter never increments (e.g. stores in a read-only
 			// region): flat zero curves keep all per-counter slices aligned
 			// with the grid.
 			f.Cumulative[c] = make([]float64, len(f.Grid))
 			f.Rates[c] = make([]float64, len(f.Grid))
 			continue
+		case ref == nil:
+			ref, xs = xs, nil
+		case !slices.Equal(xs, ref):
+			// Sigmas are finite and never -0, so == is bit equality here.
+			own = append(own, c)
+			continue
 		}
+		shared = append(shared, c)
+		sharedYs = append(sharedYs, ys)
+		ys = nil
+	}
+	if len(shared) > 0 {
+		fits, err := sm.FitMulti(ref, sharedYs, f.Grid)
+		if err != nil {
+			return nil, fmt.Errorf("folding: regressing %v: %w", shared[0], err)
+		}
+		for k, c := range shared {
+			if err := f.setCurve(c, fits[k]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, c := range own {
+		xs, ys = foldCounter(kept, c, slices.Grow(xs[:0], size), slices.Grow(ys[:0], size))
 		fit, err := sm.Fit(xs, ys, f.Grid)
 		if err != nil {
 			return nil, fmt.Errorf("folding: regressing %v: %w", c, err)
 		}
-		// Cumulative fractions are physically monotone in [0,1]; pin the
-		// endpoints before differentiating.
-		fit = stats.Isotonic(fit)
-		stats.Clamp(fit, 0, 1)
-		fit[0] = 0
-		fit[len(fit)-1] = 1
-		f.Cumulative[c] = fit
-		d, err := stats.Derivative(f.Grid, fit)
-		if err != nil {
+		if err := f.setCurve(c, fit); err != nil {
 			return nil, err
 		}
-		// dFraction/dSigma × total / duration = events per second.
-		scale := f.MeanTotals[c] / (f.MeanDurationNs / 1e9)
-		rate := make([]float64, len(d))
-		for i, v := range d {
-			if v < 0 {
-				v = 0
-			}
-			rate[i] = v * scale
-		}
-		f.Rates[c] = rate
 	}
 
 	// Fold the memory and source-code samples (pre-sized: every kept sample
 	// yields at most one point of each cloud).
-	var nSamples int
-	for i := range kept {
-		nSamples += len(kept[i].Samples)
-	}
 	f.Mem = make([]MemPoint, 0, nSamples)
 	f.Lines = make([]LinePoint, 0, nSamples)
 	for i := range kept {
@@ -430,6 +463,33 @@ func Fold(instances []Instance, cfg Config) (*Folded, error) {
 
 	f.Phases = detectPhases(f, cfg)
 	return f, nil
+}
+
+// setCurve stores counter c's fitted cumulative-fraction curve and the rate
+// derived from it.
+func (f *Folded) setCurve(c cpu.CounterID, fit []float64) error {
+	// Cumulative fractions are physically monotone in [0,1]; pin the
+	// endpoints before differentiating.
+	fit = stats.Isotonic(fit)
+	stats.Clamp(fit, 0, 1)
+	fit[0] = 0
+	fit[len(fit)-1] = 1
+	f.Cumulative[c] = fit
+	d, err := stats.Derivative(f.Grid, fit)
+	if err != nil {
+		return err
+	}
+	// dFraction/dSigma × total / duration = events per second.
+	scale := f.MeanTotals[c] / (f.MeanDurationNs / 1e9)
+	rate := make([]float64, len(d))
+	for i, v := range d {
+		if v < 0 {
+			v = 0
+		}
+		rate[i] = v * scale
+	}
+	f.Rates[c] = rate
+	return nil
 }
 
 // filterOutliers keeps instances whose duration lies within factor of the

@@ -688,8 +688,10 @@ func (s *Server) runFlight(f *flight) {
 		}
 		s.cachePut(f.key, b)
 		s.met.done.Inc()
-		f.finish(StateDone, b, nil)
+		// Consume the parked state before the terminal transition, so a
+		// waiter woken by "done" never sees a stale .job/.ck.
 		s.clearParked(f.key)
+		f.finish(StateDone, b, nil)
 		s.log.Info("job done", "key", f.key, "scenario", f.sc.Name,
 			"elapsed", elapsed, "instances", f.progress.Snapshot().InstancesDone)
 
@@ -832,9 +834,9 @@ func (s *Server) Resume() (int, error) {
 		if b, ok := s.cacheGet(key); ok {
 			// Someone (another server, a sweep) finished this key already.
 			f := &flight{key: key, state: StateDone, source: SourceCache, metrics: b, done: make(chan struct{})}
+			s.clearParked(key)
 			close(f.done)
 			s.remember(f)
-			s.clearParked(key)
 			continue
 		}
 		f, rerr := s.resolve(req)

@@ -8,6 +8,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -110,19 +111,37 @@ func (k Kernel) support() float64 {
 }
 
 // Fit evaluates the regression of ys on xs at each grid point. xs need not
-// be sorted. The returned slice is aligned with grid.
+// be sorted. The returned slice is aligned with grid. It is FitMulti with
+// one response.
+func (s Smoother) Fit(xs, ys, grid []float64) ([]float64, error) {
+	out, err := s.FitMulti(xs, [][]float64{ys}, grid)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// FitMulti evaluates the regression of every response ys[r] on the shared
+// abscissae xs at each grid point; out[r] is aligned with grid. xs need not
+// be sorted.
 //
 // The evaluation sorts the samples once (materializing the boundary
 // reflections as explicit samples) and restricts every grid point to the
 // samples within the kernel support, turning the naive
 // O(len(grid)·len(xs)) kernel evaluation — the wall-clock bottleneck of
-// folding large traces — into O(len(grid)·window).
-func (s Smoother) Fit(xs, ys, grid []float64) ([]float64, error) {
+// folding large traces — into O(len(grid)·window). The sort and each
+// window's weights and denominator depend on xs alone, so they are computed
+// once for all responses; only the numerators are per response. Each
+// numerator sums its terms in the same order as a fit of that response on
+// its own, so out[r] is bit-identical to Fit(xs, ys[r], grid).
+func (s Smoother) FitMulti(xs []float64, ys [][]float64, grid []float64) ([][]float64, error) {
 	if len(xs) == 0 {
 		return nil, ErrNoSamples
 	}
-	if len(xs) != len(ys) {
-		return nil, ErrLengths
+	for _, y := range ys {
+		if len(y) != len(xs) {
+			return nil, ErrLengths
+		}
 	}
 	if len(grid) < 2 {
 		return nil, ErrBadGrid
@@ -140,28 +159,49 @@ func (s Smoother) Fit(xs, ys, grid []float64) ([]float64, error) {
 		n *= 3
 	}
 	// Sorted working copy, with reflected samples materialized so the
-	// windowed pass treats them like any other sample.
-	type pt struct{ x, y float64 }
+	// windowed pass treats them like any other sample; src is the index of
+	// the sample's response value.
+	type pt struct {
+		x   float64
+		src int
+	}
 	pts := make([]pt, 0, n)
 	for j, x := range xs {
-		pts = append(pts, pt{x, ys[j]})
+		pts = append(pts, pt{x, j})
 		if reflect {
 			// Reflect about both boundaries to correct edge bias.
-			pts = append(pts, pt{2*s.Lo - x, ys[j]}, pt{2*s.Hi - x, ys[j]})
+			pts = append(pts, pt{2*s.Lo - x, j}, pt{2*s.Hi - x, j})
 		}
 	}
-	sort.Slice(pts, func(a, b int) bool { return pts[a].x < pts[b].x })
+	// The permutation depends only on the comparisons of x, and
+	// slices.SortFunc runs the same pdqsort as sort.Slice, so samples tied
+	// in x keep the order a sort of (x, y) points gives them.
+	slices.SortFunc(pts, func(a, b pt) int {
+		switch {
+		case a.x < b.x:
+			return -1
+		case a.x > b.x:
+			return 1
+		}
+		return 0
+	})
 	cut := s.Kernel.support() * h
 
-	out := make([]float64, len(grid))
+	out := make([][]float64, len(ys))
+	for r := range out {
+		out[r] = make([]float64, len(grid))
+	}
+	var w []float64 // the current window's weights
 	for i, g := range grid {
 		lo := sort.Search(len(pts), func(j int) bool { return pts[j].x >= g-cut })
 		hi := sort.Search(len(pts), func(j int) bool { return pts[j].x > g+cut })
-		var num, den float64
-		for j := lo; j < hi; j++ {
-			w := s.Kernel.weight((g - pts[j].x) / h)
-			num += w * pts[j].y
-			den += w
+		win := pts[lo:hi]
+		w = w[:0]
+		var den float64
+		for _, p := range win {
+			wj := s.Kernel.weight((g - p.x) / h)
+			w = append(w, wj)
+			den += wj
 		}
 		if den == 0 {
 			if s.Kernel == Gaussian {
@@ -175,13 +215,23 @@ func (s Smoother) Fit(xs, ys, grid []float64) ([]float64, error) {
 				if j >= len(pts) || (j > 0 && g-pts[j-1].x <= pts[j].x-g) {
 					j--
 				}
-				out[i] = pts[j].y
+				for r, y := range ys {
+					out[r][i] = y[pts[j].src]
+				}
 				continue
 			}
-			out[i] = math.NaN()
+			for r := range ys {
+				out[r][i] = math.NaN()
+			}
 			continue
 		}
-		out[i] = num / den
+		for r, y := range ys {
+			var num float64
+			for k, p := range win {
+				num += w[k] * y[p.src]
+			}
+			out[r][i] = num / den
+		}
 	}
 	return out, nil
 }

@@ -85,6 +85,7 @@ func (r *Record) Has(typ uint32) bool {
 // ordering across threads.
 type Writer struct {
 	w       *bufio.Writer
+	line    []byte // the record being encoded, reused across records
 	records uint64
 	lastNs  map[[2]int]uint64
 	closed  bool
@@ -123,18 +124,32 @@ func (tw *Writer) Write(r Record) error {
 		return fmt.Errorf("%w: %d < %d", ErrTimeRegression, r.TimeNs, last)
 	}
 	tw.lastNs[key] = r.TimeNs
-	// Paraver event record: 2:cpu:appl:task:thread:time:type:value...
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "2:1:1:%d:%d:%d", r.Task, r.Thread, r.TimeNs)
-	for _, p := range r.Pairs {
-		fmt.Fprintf(&sb, ":%d:%d", p.Type, p.Value)
-	}
-	sb.WriteByte('\n')
-	if _, err := tw.w.WriteString(sb.String()); err != nil {
+	tw.line = appendRecord(tw.line[:0], &r)
+	if _, err := tw.w.Write(tw.line); err != nil {
 		return err
 	}
 	tw.records++
 	return nil
+}
+
+// appendRecord appends r's Paraver event line,
+// 2:cpu:appl:task:thread:time:type:value..., newline included, to buf.
+//
+//repro:noalloc
+func appendRecord(buf []byte, r *Record) []byte {
+	buf = append(buf, "2:1:1:"...)
+	buf = strconv.AppendInt(buf, int64(r.Task), 10)
+	buf = append(buf, ':')
+	buf = strconv.AppendInt(buf, int64(r.Thread), 10)
+	buf = append(buf, ':')
+	buf = strconv.AppendUint(buf, r.TimeNs, 10)
+	for _, p := range r.Pairs {
+		buf = append(buf, ':')
+		buf = strconv.AppendUint(buf, uint64(p.Type), 10)
+		buf = append(buf, ':')
+		buf = strconv.AppendInt(buf, p.Value, 10)
+	}
+	return append(buf, '\n')
 }
 
 // Records returns the number of records written.
