@@ -148,7 +148,7 @@ func (c *Client) attempt(ctx context.Context, body []byte) (*RunResult, bool, ti
 		return nil, ctx.Err() == nil, 0, err
 	}
 	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	b, err := readBody(resp)
 	if err != nil {
 		return nil, ctx.Err() == nil, 0, err
 	}
@@ -168,6 +168,23 @@ func (c *Client) attempt(ctx context.Context, body []byte) (*RunResult, bool, ti
 	hint := retryAfterHint(resp)
 	err = fmt.Errorf("server returned %s: %s", resp.Status, compactError(b))
 	return nil, retryableStatus(resp.StatusCode), hint, err
+}
+
+// maxReplyBody caps the bytes read from one reply.
+const maxReplyBody = 64 << 20
+
+// readBody reads a reply body: exactly Content-Length bytes into one
+// allocation when the server declared a length within the cap, else up to
+// the cap. A body cut short of its declared length is an error.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxReplyBody {
+		b := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, maxReplyBody))
 }
 
 // retryAfterHint parses the Retry-After header (seconds form; the server

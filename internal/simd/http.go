@@ -114,7 +114,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeOutcome serves a terminal flight: raw metrics bytes on success and
-// on deadline partials, a structured error otherwise.
+// on deadline partials, a structured error otherwise. Bodies written whole
+// carry their Content-Length, so the client reads them in one allocation.
 func (s *Server) writeOutcome(w http.ResponseWriter, f *flight, coalesced bool) {
 	state, metrics, err := f.result()
 	h := w.Header()
@@ -130,19 +131,17 @@ func (s *Server) writeOutcome(w http.ResponseWriter, f *flight, coalesced bool) 
 	switch state {
 	case StateDone:
 		h.Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(metrics)
+		writeWhole(w, http.StatusOK, metrics)
 	case StatePartial:
 		// The job deadline fired: the partial-marked metrics are the body,
 		// the 504 says they cover only a prefix of the schedule.
+		body := metrics
+		if len(body) == 0 {
+			body = fmt.Appendf(nil, "{\n  \"error\": %q\n}\n", errString(err))
+		}
 		h.Set("Content-Type", "application/json")
 		h.Set("X-Simd-Partial", "1")
-		w.WriteHeader(http.StatusGatewayTimeout)
-		if len(metrics) > 0 {
-			w.Write(metrics)
-		} else {
-			fmt.Fprintf(w, "{\n  \"error\": %q\n}\n", errString(err))
-		}
+		writeWhole(w, http.StatusGatewayTimeout, body)
 	case StateCheckpointed:
 		// Parked by a drain; the job resumes when a server restarts over
 		// the state directory — retry there.
@@ -154,6 +153,13 @@ func (s *Server) writeOutcome(w http.ResponseWriter, f *flight, coalesced bool) 
 	default:
 		writeError(w, &Error{Code: http.StatusInternalServerError, Msg: errString(err)})
 	}
+}
+
+// writeWhole writes a body known in full, with its Content-Length.
+func writeWhole(w http.ResponseWriter, code int, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(code)
+	w.Write(body)
 }
 
 func errString(err error) string {

@@ -9,14 +9,16 @@ import (
 // serverMetrics is the server's instrument panel: every counter the old
 // ad-hoc stats struct carried, re-homed onto the telemetry registry so one
 // set of atomics backs both the legacy /v1/stats JSON and the Prometheus
-// /metrics exposition. Queue depth, running count and drain state are
-// GaugeFuncs — they live under s.mu and are read only when a scrape asks.
+// /metrics exposition. Queue depth, running count, drain state and the
+// index size are GaugeFuncs — they live under s.mu or the index's lock and
+// are read only when a scrape asks.
 type serverMetrics struct {
 	reg *telemetry.Registry
 
 	accepted    *telemetry.Counter
 	coalesced   *telemetry.Counter
 	cacheHits   *telemetry.Counter
+	memoryHits  *telemetry.Counter // the cache hits the in-memory index answered
 	cacheMisses *telemetry.Counter
 	shed429     *telemetry.Counter
 	shed503     *telemetry.Counter
@@ -45,6 +47,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.accepted = r.Counter("simd_jobs_accepted_total", "Jobs admitted into the queue.")
 	m.coalesced = r.Counter("simd_jobs_coalesced_total", "Submissions attached to an in-flight job with the same key (coalesce fan-in).")
 	m.cacheHits = r.Counter("simd_cache_hits_total", "Submissions answered from the shared metrics cache.")
+	m.memoryHits = r.Counter("simd_cache_memory_hits_total", "Cache hits answered from the in-memory index, without a disk read.")
 	m.cacheMisses = r.Counter("simd_cache_misses_total", "Submissions that missed the shared metrics cache.")
 	m.shed429 = r.Counter("simd_shed_total", "Submissions shed by admission control.", "code", "429")
 	m.shed503 = r.Counter("simd_shed_total", "Submissions shed by admission control.", "code", "503")
@@ -74,6 +77,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return float64(len(s.running))
+	})
+	r.GaugeFunc("simd_cache_memory_bytes", "Bytes of cached documents held in the in-memory index.", func() float64 {
+		return float64(s.index.size())
 	})
 	r.GaugeFunc("simd_draining", "1 while admission is stopped by a drain.", func() float64 {
 		s.mu.Lock()

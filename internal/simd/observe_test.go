@@ -73,6 +73,8 @@ func TestMetricsEndpointCountsJobLifecycle(t *testing.T) {
 		{"simd_jobs_total", "simd_jobs_total", `outcome="done"`, 1},
 		{"simd_cache_misses_total", "simd_cache_misses_total", "", 1},
 		{"simd_cache_hits_total", "simd_cache_hits_total", "", 0},
+		{"simd_cache_memory_hits_total", "simd_cache_memory_hits_total", "", 0},
+		{"simd_cache_memory_bytes", "simd_cache_memory_bytes", "", 0},
 		{"simd_run_seconds", "simd_run_seconds_count", "", 1},
 		{"simd_queue_wait_seconds", "simd_queue_wait_seconds_count", "", 1},
 		{"simd_jobs_running", "simd_jobs_running", "", 0},
@@ -85,8 +87,10 @@ func TestMetricsEndpointCountsJobLifecycle(t *testing.T) {
 	}
 
 	// The identical request is a cache hit: hits advance, accepted does not
-	// (a cache answer never enters the queue).
-	if _, err := c.Run(context.Background(), Request{Scenario: "simd_test_fast"}); err != nil {
+	// (a cache answer never enters the queue). The disk hit promotes the
+	// document to the in-memory index, which answers the third request.
+	res, err := c.Run(context.Background(), Request{Scenario: "simd_test_fast"})
+	if err != nil {
 		t.Fatal(err)
 	}
 	fams = scrapeMetrics(t, ts.URL)
@@ -95,6 +99,19 @@ func TestMetricsEndpointCountsJobLifecycle(t *testing.T) {
 	}
 	if got := metricValue(t, fams, "simd_jobs_accepted_total", "simd_jobs_accepted_total", ""); got != 1 {
 		t.Errorf("accepted after cache hit = %g, want still 1", got)
+	}
+	if got := metricValue(t, fams, "simd_cache_memory_bytes", "simd_cache_memory_bytes", ""); got != float64(len(res.Metrics)) {
+		t.Errorf("memory bytes after the disk hit = %g, want %d", got, len(res.Metrics))
+	}
+	if _, err := c.Run(context.Background(), Request{Scenario: "simd_test_fast"}); err != nil {
+		t.Fatal(err)
+	}
+	fams = scrapeMetrics(t, ts.URL)
+	if got := metricValue(t, fams, "simd_cache_memory_hits_total", "simd_cache_memory_hits_total", ""); got != 1 {
+		t.Errorf("memory hits after the third request = %g, want 1", got)
+	}
+	if got := metricValue(t, fams, "simd_cache_hits_total", "simd_cache_hits_total", ""); got != 2 {
+		t.Errorf("cache_hits after the third request = %g, want 2", got)
 	}
 }
 

@@ -17,7 +17,8 @@
 //     (resolved machine spec, scenario, placement, sampling, path).
 //     Identical concurrent requests attach to the one in-flight run;
 //     identical later requests are served from the shared on-disk cache in
-//     one lookup. One key simulates exactly once.
+//     one lookup, and repeats of a key already read from disk are served
+//     from an in-memory index. One key simulates exactly once.
 //   - Graceful drain. Drain stops admission, lets in-flight runs finish up
 //     to a deadline, parks queued jobs, and demand-checkpoints runs that
 //     cannot finish (reusing internal/checkpoint); a restarted server
@@ -290,6 +291,7 @@ var errDrainCancelled = errors.New("simd: server draining, drain deadline reache
 type Server struct {
 	cfg   Config
 	cache *sweep.Cache
+	index *docIndex // in-memory front of cache
 	log   *slog.Logger
 	met   *serverMetrics
 
@@ -324,6 +326,7 @@ func New(cfg Config) (*Server, error) {
 		log:     cfg.Logger,
 		flights: make(map[string]*flight),
 		running: make(map[*flight]struct{}),
+		index:   newDocIndex(),
 	}
 	if s.log == nil {
 		s.log = slog.New(slog.DiscardHandler)
@@ -484,9 +487,12 @@ func (s *Server) Submit(req Request) (*flight, bool, error) {
 		return nil, false, err
 	}
 	// Shared-cache lookup before admission: identical later requests cost
-	// one cache read, no queue slot.
-	if b, ok := s.cacheGet(f.key); ok {
+	// one cache read (or an index hit), no queue slot.
+	if b, inMemory, ok := s.cacheGet(f.key); ok {
 		s.met.cacheHits.Inc()
+		if inMemory {
+			s.met.memoryHits.Inc()
+		}
 		f.state, f.source, f.metrics = StateDone, SourceCache, b
 		close(f.done)
 		s.remember(f)
@@ -572,7 +578,7 @@ func (s *Server) Lookup(key string) (*flight, bool) {
 	}
 	// Fall back to the shared cache: a result computed before a restart
 	// (or by another server) is still addressable.
-	if b, hit := s.cacheGet(key); hit {
+	if b, _, hit := s.cacheGet(key); hit {
 		f := &flight{key: key, state: StateDone, source: SourceCache, metrics: b, done: make(chan struct{})}
 		close(f.done)
 		return f, true
@@ -580,16 +586,25 @@ func (s *Server) Lookup(key string) (*flight, bool) {
 	return nil, false
 }
 
-func (s *Server) cacheGet(key string) ([]byte, bool) {
+// cacheGet is the server's one read path for stored results: the in-memory
+// index first, then a validated disk read, whose hit admits the document to
+// the index. inMemory reports an answer from the index.
+func (s *Server) cacheGet(key string) (b []byte, inMemory, ok bool) {
 	if s.cache == nil {
-		return nil, false
+		return nil, false, false
+	}
+	if b, ok := s.index.get(key); ok {
+		return b, true, true
 	}
 	b, ok, err := s.cache.Get(key)
 	if err != nil {
 		s.log.Warn("cache read failed", "key", key, "err", err)
-		return nil, false
+		return nil, false, false
 	}
-	return b, ok
+	if ok {
+		s.index.add(key, b)
+	}
+	return b, false, ok
 }
 
 // dispatchLocked starts queued flights while worker slots are free. Caller
@@ -613,8 +628,8 @@ func (s *Server) runFlight(f *flight) {
 		if rec := recover(); rec != nil {
 			s.met.panics.Inc()
 			s.met.failed.Inc()
-			f.finish(StateFailed, nil, fmt.Errorf("simd: job panicked: %v", rec))
 			s.log.Error("job panicked", "key", f.key, "scenario", f.sc.Name, "panic", fmt.Sprint(rec))
+			f.finish(StateFailed, nil, fmt.Errorf("simd: job panicked: %v", rec))
 		}
 		s.mu.Lock()
 		delete(s.running, f)
@@ -688,12 +703,13 @@ func (s *Server) runFlight(f *flight) {
 		}
 		s.cachePut(f.key, b)
 		s.met.done.Inc()
-		// Consume the parked state before the terminal transition, so a
-		// waiter woken by "done" never sees a stale .job/.ck.
+		// Consume the parked state and log the terminal span before the
+		// terminal transition, so a waiter woken by "done" never sees a
+		// stale .job/.ck or a log without the span.
 		s.clearParked(f.key)
-		f.finish(StateDone, b, nil)
 		s.log.Info("job done", "key", f.key, "scenario", f.sc.Name,
 			"elapsed", elapsed, "instances", f.progress.Snapshot().InstancesDone)
+		f.finish(StateDone, b, nil)
 
 	case errors.Is(err, core.ErrCheckpointDemanded):
 		// Drain checkpoint taken at an instance boundary; park the request
@@ -705,9 +721,9 @@ func (s *Server) runFlight(f *flight) {
 		}
 		s.met.parked.Inc()
 		s.met.checkpointed.Inc()
-		f.finish(StateCheckpointed, nil, err)
 		s.log.Info("job checkpointed", "key", f.key, "scenario", f.sc.Name,
 			"instances", f.progress.Snapshot().InstancesDone)
+		f.finish(StateCheckpointed, nil, err)
 
 	case errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errDrainCancelled):
 		// Hard drain stop of a non-checkpointable run: park the request for
@@ -716,26 +732,26 @@ func (s *Server) runFlight(f *flight) {
 			if perr := s.park(f); perr == nil {
 				s.met.parked.Inc()
 				s.met.checkpointed.Inc()
-				f.finish(StateCheckpointed, nil, err)
 				s.log.Info("job parked", "key", f.key, "scenario", f.sc.Name, "reason", "drain deadline")
+				f.finish(StateCheckpointed, nil, err)
 				return
 			}
 		}
 		s.met.partial.Inc()
-		f.finish(StatePartial, partialBytes(m), err)
 		s.log.Warn("job partial", "key", f.key, "scenario", f.sc.Name, "err", err)
+		f.finish(StatePartial, partialBytes(m), err)
 
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The job's own deadline (or a client cancel): partial metrics,
 		// clearly marked, exactly like simrun -timeout.
 		s.met.partial.Inc()
-		f.finish(StatePartial, partialBytes(m), err)
 		s.log.Warn("job partial", "key", f.key, "scenario", f.sc.Name, "err", err)
+		f.finish(StatePartial, partialBytes(m), err)
 
 	default:
 		s.met.failed.Inc()
-		f.finish(StateFailed, nil, err)
 		s.log.Error("job failed", "key", f.key, "scenario", f.sc.Name, "err", err)
+		f.finish(StateFailed, nil, err)
 	}
 }
 
@@ -831,7 +847,7 @@ func (s *Server) Resume() (int, error) {
 			s.clearParked(key)
 			continue
 		}
-		if b, ok := s.cacheGet(key); ok {
+		if b, _, ok := s.cacheGet(key); ok {
 			// Someone (another server, a sweep) finished this key already.
 			f := &flight{key: key, state: StateDone, source: SourceCache, metrics: b, done: make(chan struct{})}
 			s.clearParked(key)
@@ -904,16 +920,16 @@ func (s *Server) Drain(ctx context.Context) error {
 			if err := s.park(f); err == nil {
 				s.met.parked.Inc()
 				s.met.checkpointed.Inc()
+				s.log.Info("job parked", "key", f.key, "scenario", f.sc.Name, "reason", "queued at drain")
 				f.finish(StateCheckpointed, nil, errors.New("simd: parked by drain before starting"))
 				s.remember(f)
-				s.log.Info("job parked", "key", f.key, "scenario", f.sc.Name, "reason", "queued at drain")
 				continue
 			}
 		}
 		s.met.partial.Inc()
+		s.log.Warn("job cancelled by drain", "key", f.key, "scenario", f.sc.Name)
 		f.finish(StatePartial, nil, errDrainCancelled)
 		s.remember(f)
-		s.log.Warn("job cancelled by drain", "key", f.key, "scenario", f.sc.Name)
 	}
 	for _, f := range running {
 		// Checkpointable runs observe this at their next instance boundary.
