@@ -597,9 +597,11 @@ func BenchmarkFoldingFold(b *testing.B) {
 		for c := range in.C1 {
 			in.C1[c] = 100000 * uint64(c+1)
 		}
+		samples := make([]trace.Event, 0, 100)
 		for i := 0; i < 100; i++ {
 			sigma := float64(i) / 100
-			s := folding.Sample{
+			s := trace.Event{
+				Kind:   trace.KindSample,
 				TimeNs: in.T0 + uint64(sigma*900),
 				Addr:   0x1000 + uint64(i*64),
 				IP:     0x400000,
@@ -609,8 +611,9 @@ func BenchmarkFoldingFold(b *testing.B) {
 			for c := range s.Counters {
 				s.Counters[c] = uint64(math.Pow(sigma, 1+float64(c)/4) * float64(in.C1[c]))
 			}
-			in.Samples = append(in.Samples, s)
+			samples = append(samples, s)
 		}
+		in.Events = [][]trace.Event{samples}
 		instances[k] = in
 	}
 	b.ReportAllocs()

@@ -61,7 +61,7 @@ func main() {
 	}
 	s := res.Session
 	fmt.Printf("%s: %d iterations, %d trace records, %d samples recorded, %.2f%% resolved\n",
-		w.Name(), *iters, len(s.Mon.Records()),
+		w.Name(), *iters, s.Mon.Log().Len(),
 		s.Mon.Engine().Stats().Recorded, 100*s.Mon.Registry().ResolutionRate())
 
 	// PRV and PCF are one artifact: write the pair atomically (temp files +

@@ -316,41 +316,58 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return s, nil
 }
 
-func encodeRecords(e *encoder, records []trace.Record) {
-	e.u64(uint64(len(records)))
-	for _, r := range records {
-		e.u64(r.TimeNs)
-		e.int(r.Task)
-		e.int(r.Thread)
-		e.u64(uint64(len(r.Pairs)))
-		for _, p := range r.Pairs {
+// encodeEvents writes a monitor's log as trace records: time, task,
+// thread and the (type, value) pairs each event renders.
+func encodeEvents(e *encoder, m *extrae.MonitorState) {
+	e.u64(uint64(len(m.Events)))
+	var pairs []trace.TypeValue
+	for i := range m.Events {
+		ev := &m.Events[i]
+		pairs = ev.AppendPairs(pairs[:0])
+		e.u64(ev.TimeNs)
+		e.int(m.Task)
+		e.int(m.Thread)
+		e.u64(uint64(len(pairs)))
+		for _, p := range pairs {
 			e.u32(p.Type)
 			e.i64(p.Value)
 		}
 	}
 }
 
-func decodeRecords(d *decoder) []trace.Record {
+// decodeEvents reads the records encodeEvents writes. Every record must
+// be one of the event shapes trace.EventOf accepts, and all must share
+// one task and thread.
+func decodeEvents(d *decoder, m *extrae.MonitorState) {
 	n := d.u64()
-	out := make([]trace.Record, 0, prealloc(n))
+	m.Events = make([]trace.Event, 0, prealloc(n))
+	var pairs []trace.TypeValue
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		r := trace.Record{TimeNs: d.u64(), Task: d.int(), Thread: d.int()}
+		timeNs, task, thread := d.u64(), d.int(), d.int()
+		if i == 0 {
+			m.Task, m.Thread = task, thread
+		} else if task != m.Task || thread != m.Thread {
+			d.fail("record %d is task %d thread %d, the log's first is task %d thread %d", i, task, thread, m.Task, m.Thread)
+		}
 		nPairs := d.u64()
-		pairCap := nPairs
-		if pairCap > 64 {
-			pairCap = 64
-		}
-		r.Pairs = make([]trace.TypeValue, 0, pairCap)
+		pairs = pairs[:0]
 		for j := uint64(0); j < nPairs && d.err == nil; j++ {
-			r.Pairs = append(r.Pairs, trace.TypeValue{Type: d.u32(), Value: d.i64()})
+			pairs = append(pairs, trace.TypeValue{Type: d.u32(), Value: d.i64()})
 		}
-		out = append(out, r)
+		if d.err != nil {
+			return
+		}
+		ev, err := trace.EventOf(timeNs, pairs)
+		if err != nil {
+			d.fail("record %d: %v", i, err)
+			return
+		}
+		m.Events = append(m.Events, ev)
 	}
-	return out
 }
 
 func encodeMonitor(e *encoder, m *extrae.MonitorState) {
-	encodeRecords(e, m.Records)
+	encodeEvents(e, m)
 	e.u64(uint64(len(m.Stacks)))
 	for _, st := range m.Stacks {
 		e.u64s(st)
@@ -373,7 +390,7 @@ func encodeMonitor(e *encoder, m *extrae.MonitorState) {
 }
 
 func decodeMonitor(d *decoder, m *extrae.MonitorState) {
-	m.Records = decodeRecords(d)
+	decodeEvents(d, m)
 	nStacks := d.u64()
 	m.Stacks = make([][]uint64, 0, prealloc(nStacks))
 	for i := uint64(0); i < nStacks && d.err == nil; i++ {

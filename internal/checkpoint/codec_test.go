@@ -3,11 +3,13 @@ package checkpoint_test
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/pebs"
+	"repro/internal/trace"
 	"repro/internal/workloads"
 )
 
@@ -70,7 +72,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if len(got.Threads) != len(snap.Threads) {
 		t.Fatalf("thread count mismatch: %d vs %d", len(got.Threads), len(snap.Threads))
 	}
-	if n, m := len(got.Threads[0].Mon.Records), len(snap.Threads[0].Mon.Records); n != m {
+	if n, m := len(got.Threads[0].Mon.Events), len(snap.Threads[0].Mon.Events); n != m {
 		t.Errorf("record count mismatch: %d vs %d", n, m)
 	}
 }
@@ -122,12 +124,37 @@ func TestReadFlippedBytes(t *testing.T) {
 	}
 }
 
+// unknownShape encodes a real snapshot whose thread log ends in a record
+// matching none of the event shapes: a lone counter pair (an event of no
+// kind renders just its counters), or no pair at all.
+func unknownShape(t testing.TB, counted uint16) []byte {
+	t.Helper()
+	snap := captureSnapshot(t)
+	mon := &snap.Threads[0].Mon
+	last := mon.Events[len(mon.Events)-1]
+	mon.Events = append(mon.Events, trace.Event{TimeNs: last.TimeNs + 1, Counted: counted})
+	return encode(t, snap)
+}
+
+// TestReadRejectsUnknownPairShape pins the log decoder's strictness: a
+// record whose pairs are none of the event shapes fails the whole read.
+func TestReadRejectsUnknownPairShape(t *testing.T) {
+	for _, counted := range []uint16{0, 1} {
+		if _, err := checkpoint.Read(bytes.NewReader(unknownShape(t, counted))); err == nil {
+			t.Errorf("record with counters %b and no kind accepted", counted)
+		} else if !strings.Contains(err.Error(), "record") {
+			t.Errorf("error %q does not name the record", err)
+		}
+	}
+}
+
 func FuzzCheckpointDecode(f *testing.F) {
 	valid := encode(f, captureSnapshot(f))
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("BSCK"))
 	f.Add([]byte{})
+	f.Add(unknownShape(f, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := checkpoint.Read(bytes.NewReader(data))
 		if err != nil {

@@ -110,11 +110,7 @@ func (s *Session) RestoreSnapshot(snap *checkpoint.Snapshot, tag string) error {
 	if err := s.Hier.RestoreState(snap.Threads[0].Hier); err != nil {
 		return err
 	}
-	if err := s.Mon.Registry().RestoreState(snap.Registry); err != nil {
-		return err
-	}
-	s.sortedLog, s.sortedLen = nil, 0
-	return nil
+	return s.Mon.Registry().RestoreState(snap.Registry)
 }
 
 // Snapshot captures the machine's full mutable state at an instance
@@ -172,14 +168,7 @@ func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot, tag string) error {
 			return err
 		}
 	}
-	if err := m.Primary().Mon.Registry().RestoreState(snap.Registry); err != nil {
-		return err
-	}
-	m.sortedLog, m.sortedLen = nil, 0
-	for i := range m.threadLogs {
-		m.threadLogs[i] = threadLog{}
-	}
-	return nil
+	return m.Primary().Mon.Registry().RestoreState(snap.Registry)
 }
 
 // RunWorkloadCheckpointed is RunWorkload driven one instance at a time on a

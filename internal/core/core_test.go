@@ -278,9 +278,9 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 }
 
 // TestWriteTraceHPCGOrdering reproduces the late-drain scenario: with a
-// buffered PEBS engine, sample records are logged after region records
-// carrying later timestamps, so the raw monitor log is not time-sorted.
-// WriteTrace must still produce a valid (per-thread monotonic) PRV trace.
+// buffered PEBS engine, samples drain after region records carrying later
+// timestamps, and the drain must merge them into the log's time order.
+// WriteTrace must produce a valid (per-thread monotonic) PRV trace.
 func TestWriteTraceHPCGOrdering(t *testing.T) {
 	run, err := RunHPCG(testConfig(), testHPCGParams())
 	if err != nil {

@@ -56,18 +56,6 @@ type Machine struct {
 	Placement *numa.Placement
 	Bin       *prog.Binary
 	AS        *prog.AddressSpace
-
-	// sortedLog memoizes MergedRecords and threadLogs the per-thread
-	// sorted streams (the per-monitor logs are append-only, so an
-	// unchanged length means an unchanged log).
-	sortedLog  []trace.Record
-	sortedLen  int
-	threadLogs []threadLog
-}
-
-type threadLog struct {
-	recs []trace.Record
-	n    int
 }
 
 // NewMachine builds an n-thread machine from the session configuration:
@@ -118,12 +106,11 @@ func NewMachine(cfg Config, n int) (*Machine, error) {
 		}
 	}
 	m := &Machine{
-		Cfg:        cfg,
-		Sockets:    sockets,
-		Placement:  placement,
-		Bin:        prog.NewBinary(),
-		AS:         prog.NewAddressSpace(heapBase(cfg)),
-		threadLogs: make([]threadLog, n),
+		Cfg:       cfg,
+		Sockets:   sockets,
+		Placement: placement,
+		Bin:       prog.NewBinary(),
+		AS:        prog.NewAddressSpace(heapBase(cfg)),
 	}
 	for s := 0; s < sockets; s++ {
 		llc, err := memhier.NewSharedCache(levels[len(levels)-1], 0)
@@ -216,48 +203,26 @@ func (m *Machine) FuncOf(ip uint64) string {
 	return ""
 }
 
-// MergedRecords returns all threads' trace records merged into one
-// chronological stream (the trace.Merge of the per-thread streams, which
-// also time-sorts each thread's buffered-PEBS reorderings). The result is
-// memoized; callers must not mutate it.
-func (m *Machine) MergedRecords() []trace.Record {
-	var total int
-	for _, th := range m.Threads {
-		total += len(th.Mon.Records())
-	}
-	if m.sortedLog != nil && m.sortedLen == total {
-		return m.sortedLog
-	}
-	streams := make([][]trace.Record, len(m.Threads))
+// MergedRecords returns every thread's log merged into one chronological
+// stream of references to the events in place: on equal times the lower
+// thread goes first, and Ref.Log is the 0-based thread index.
+func (m *Machine) MergedRecords() []trace.Ref {
+	logs := make([]*trace.Log, len(m.Threads))
 	for i, th := range m.Threads {
-		streams[i] = th.Mon.Records()
+		logs[i] = th.Mon.Log()
 	}
-	m.sortedLog, m.sortedLen = trace.Merge(streams...), total
-	return m.sortedLog
-}
-
-// threadRecords returns thread i's (0-based) own trace stream, time-sorted
-// (buffered PEBS drains log sample records out of order) and memoized —
-// per-thread folding never needs the full merged trace.
-func (m *Machine) threadRecords(i int) []trace.Record {
-	log := m.Threads[i].Mon.Records()
-	tl := &m.threadLogs[i]
-	if tl.recs != nil && tl.n == len(log) {
-		return tl.recs
-	}
-	tl.recs, tl.n = trace.Merge(log), len(log)
-	return tl.recs
+	return trace.Merge(logs...)
 }
 
 // Fold extracts and folds the named region for one thread (1-based) from
-// that thread's own stream (equivalent to ExtractThread over the merged
-// trace, without re-scanning every other thread's records).
+// that thread's own log (equivalent to ExtractThread over the merged
+// trace, without scanning every other thread's events).
 func (m *Machine) Fold(region extrae.Region, thread int) (*folding.Folded, error) {
 	if thread < 1 || thread > len(m.Threads) {
 		return nil, fmt.Errorf("core: thread %d out of range 1..%d", thread, len(m.Threads))
 	}
 	th := m.Threads[thread-1]
-	instances, err := folding.ExtractThread(m.threadRecords(thread-1), int64(region), th.Mon.Task(), th.Mon.Thread())
+	instances, err := folding.Extract(th.Mon.Log(), int64(region))
 	if err != nil {
 		return nil, err
 	}
@@ -275,17 +240,20 @@ func (m *Machine) Fold(region extrae.Region, thread int) (*folding.Folded, error
 func (m *Machine) WriteTrace(prv, pcf interface {
 	Write(p []byte) (int, error)
 }) error {
-	recs := m.MergedRecords()
+	refs := m.MergedRecords()
 	var dur uint64
-	if len(recs) > 0 {
-		dur = recs[len(recs)-1].TimeNs
+	if len(refs) > 0 {
+		dur = refs[len(refs)-1].Event.TimeNs
 	}
 	w, err := trace.NewWriter(prv, 1, len(m.Threads), dur)
 	if err != nil {
 		return err
 	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
+	var rec trace.Record
+	for _, r := range refs {
+		mon := m.Threads[r.Log].Mon
+		rec.Task, rec.Thread = mon.Task(), mon.Thread()
+		if err := writeEvent(w, &rec, r.Event); err != nil {
 			return err
 		}
 	}

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/extrae"
@@ -81,11 +80,6 @@ type Session struct {
 	Bin  *prog.Binary
 	AS   *prog.AddressSpace
 	Mon  *extrae.Monitor
-
-	// sortedLog memoizes sortedRecords (the monitor log is append-only, so
-	// an unchanged length means an unchanged log).
-	sortedLog []trace.Record
-	sortedLen int
 }
 
 // applyReference expands the Reference shorthand into the concrete
@@ -148,33 +142,6 @@ func (s *Session) FuncOf(ip uint64) string {
 	return ""
 }
 
-// sortedRecords returns the monitor's trace log stably sorted by time.
-// The log is append-ordered: buffered PEBS samples drain after later
-// region/snapshot records, so sample records can carry earlier timestamps
-// than records already logged — and both folding.Extract and the PRV
-// writer require a chronological stream. Same-time records keep their
-// logged order. The sorted copy is memoized and its backing buffer reused
-// when the log has grown, so steady-state re-folding does not reallocate;
-// a snapshot returned before the log grew is invalidated by the next call.
-func (s *Session) sortedRecords() []trace.Record {
-	log := s.Mon.Records()
-	if s.sortedLog != nil && s.sortedLen == len(log) {
-		return s.sortedLog
-	}
-	recs := append(s.sortedLog[:0], log...)
-	slices.SortStableFunc(recs, func(a, b trace.Record) int {
-		switch {
-		case a.TimeNs < b.TimeNs:
-			return -1
-		case a.TimeNs > b.TimeNs:
-			return 1
-		}
-		return 0
-	})
-	s.sortedLog, s.sortedLen = recs, len(log)
-	return recs
-}
-
 // foldInstances is the shared folding tail of Session.Fold and
 // Machine.Fold: bind the config defaults — FuncOf resolves through the
 // binary, PhaseIP attributes samples taken under an instrumented call
@@ -187,7 +154,7 @@ func foldInstances(instances []folding.Instance, cfg folding.Config, region extr
 		cfg.FuncOf = funcOf
 	}
 	if cfg.PhaseIP == nil {
-		cfg.PhaseIP = func(smp folding.Sample) uint64 {
+		cfg.PhaseIP = func(smp *trace.Event) uint64 {
 			if frames := mon.Stacks().Frames(smp.StackID); len(frames) > 0 {
 				return frames[len(frames)-1]
 			}
@@ -205,7 +172,7 @@ func foldInstances(instances []folding.Instance, cfg folding.Config, region extr
 
 // Fold extracts and folds the named region from the monitor's trace.
 func (s *Session) Fold(region extrae.Region) (*folding.Folded, error) {
-	instances, err := folding.Extract(s.sortedRecords(), int64(region))
+	instances, err := folding.Extract(s.Mon.Log(), int64(region))
 	if err != nil {
 		return nil, err
 	}
@@ -252,22 +219,33 @@ func RunWorkload(cfg Config, w workloads.Workload, iters int) (*RunWorkloadResul
 func (s *Session) WriteTrace(prv, pcf interface {
 	Write(p []byte) (int, error)
 }) error {
-	recs := s.sortedRecords()
+	log := s.Mon.Log()
 	var dur uint64
-	if len(recs) > 0 {
-		dur = recs[len(recs)-1].TimeNs
+	if log.Len() > 0 {
+		dur = log.Last().TimeNs
 	}
 	w, err := trace.NewWriter(prv, 1, 1, dur)
 	if err != nil {
 		return err
 	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			return err
+	rec := trace.Record{Task: s.Mon.Task(), Thread: s.Mon.Thread()}
+	for _, c := range log.Chunks() {
+		for i := range c {
+			if err := writeEvent(w, &rec, &c[i]); err != nil {
+				return err
+			}
 		}
 	}
 	if err := w.Close(); err != nil {
 		return err
 	}
 	return s.Mon.Labels().WritePCF(pcf)
+}
+
+// writeEvent renders e into rec, whose task and thread are set and whose
+// pair buffer is reused from event to event, and writes it.
+func writeEvent(w *trace.Writer, rec *trace.Record, e *trace.Event) error {
+	rec.TimeNs = e.TimeNs
+	rec.Pairs = e.AppendPairs(rec.Pairs[:0])
+	return w.Write(*rec)
 }

@@ -16,6 +16,7 @@ package extrae
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cpu"
 	"repro/internal/memhier"
@@ -96,16 +97,21 @@ type Monitor struct {
 
 	task, thread int
 
-	records []trace.Record
-	labels  *trace.Labels
+	// log holds the trace in time order: drains merge their samples into
+	// its tail (see onDrain).
+	log    trace.Log
+	labels *trace.Labels
 
 	regionNames []string
 	regionStack []Region
 
-	callStack    prog.CallStack
-	curStackID   uint32
-	stackDirty   bool
-	pendingSnaps [][cpu.NumCounters]uint64
+	callStack  prog.CallStack
+	curStackID uint32
+	stackDirty bool
+	// pending holds one event per sample in the PEBS buffer, carrying the
+	// counter snapshot taken when the sample fired; onDrain completes and
+	// logs them.
+	pending []trace.Event
 
 	muxNext  uint64
 	enabled  bool
@@ -131,6 +137,11 @@ type Monitor struct {
 func New(cfg Config, core *cpu.Core, bin *prog.Binary, as *prog.AddressSpace) (*Monitor, error) {
 	if core == nil || bin == nil || as == nil {
 		return nil, fmt.Errorf("extrae: core, binary and address space are required")
+	}
+	// The slowest source bounds a sample's latency, which trace events
+	// hold in 32 bits.
+	if lat := core.Hierarchy().SourceLatency(memhier.SrcDRAMRemote); lat > math.MaxUint32 {
+		return nil, fmt.Errorf("extrae: memory latency %d cycles does not fit a trace event's 32-bit sample latency", lat)
 	}
 	m := &Monitor{
 		cfg:    cfg,
@@ -338,33 +349,31 @@ func (m *Monitor) RegionName(r Region) string {
 	return m.regionNames[r-1]
 }
 
-// counterPairs renders a PMU snapshot as trace pairs. Only programmed
-// counters are emitted: the records of a non-NUMA core carry exactly the
-// historical pair set, and a NUMA-routed core appends the remote-DRAM
-// event.
-func (m *Monitor) counterPairs(snap [cpu.NumCounters]uint64) []trace.TypeValue {
+// setCounters keeps the programmed counters of e's snapshot and marks
+// them counted. Only programmed counters are emitted: the records of a
+// non-NUMA core carry exactly the historical pair set, and a NUMA-routed
+// core appends the remote-DRAM event.
+func (m *Monitor) setCounters(e *trace.Event) {
 	pmu := m.core.PMU()
-	pairs := make([]trace.TypeValue, 0, cpu.NumCounters)
+	e.Counted = 0
 	for c := cpu.CounterID(0); c < cpu.NumCounters; c++ {
-		if !pmu.Programmed(c) {
-			continue
+		if pmu.Programmed(c) {
+			e.Counted |= 1 << c
+		} else {
+			e.Counters[c] = 0
 		}
-		pairs = append(pairs, trace.TypeValue{
-			Type:  trace.TypeCounterBase + uint32(c),
-			Value: int64(snap[c]),
-		})
 	}
-	return pairs
 }
 
-// emit appends a record to the in-memory trace.
-func (m *Monitor) emit(pairs []trace.TypeValue) {
-	m.records = append(m.records, trace.Record{
-		TimeNs: m.core.NowNs(),
-		Task:   m.task,
-		Thread: m.thread,
-		Pairs:  pairs,
-	})
+// emit logs an event stamped with the core's current time, with the
+// counter snapshot if it carries one.
+func (m *Monitor) emit(e trace.Event) {
+	e.TimeNs = m.core.NowNs()
+	if e.Kind == trace.KindRegion {
+		e.Counters = m.core.PMU().Snapshot()
+		m.setCounters(&e)
+	}
+	m.log.Add(e)
 }
 
 // Thread returns the 1-based thread id stamped on this monitor's records.
@@ -380,9 +389,7 @@ func (m *Monitor) EnterRegion(r Region) {
 	if !m.enabled {
 		return
 	}
-	pairs := append([]trace.TypeValue{{Type: trace.TypeRegion, Value: int64(r)}},
-		m.counterPairs(m.core.PMU().Snapshot())...)
-	m.emit(pairs)
+	m.emit(trace.Event{Kind: trace.KindRegion, Addr: uint64(r)})
 }
 
 // ExitRegion records exit from the innermost region, which must be r.
@@ -398,9 +405,7 @@ func (m *Monitor) ExitRegion(r Region) {
 	// are charged to the core, slightly inflating the region like a real
 	// PEBS interrupt would.
 	m.engine.Flush()
-	pairs := append([]trace.TypeValue{{Type: trace.TypeRegion, Value: 0}},
-		m.counterPairs(m.core.PMU().Snapshot())...)
-	m.emit(pairs)
+	m.emit(trace.Event{Kind: trace.KindRegion})
 }
 
 // PushFrame enters a call frame (for allocation/sample call stacks).
@@ -451,11 +456,7 @@ func (m *Monitor) onAlloc(info prog.AllocInfo) {
 	if !m.enabled {
 		return
 	}
-	m.emit([]trace.TypeValue{
-		{Type: trace.TypeAllocAddr, Value: int64(info.Addr)},
-		{Type: trace.TypeAllocSize, Value: int64(info.Size)},
-		{Type: trace.TypeAllocStack, Value: int64(info.StackID)},
-	})
+	m.emit(trace.Event{Kind: trace.KindAlloc, Addr: info.Addr, IP: info.Size, StackID: info.StackID})
 }
 
 // onFree is the address-space free hook.
@@ -464,7 +465,7 @@ func (m *Monitor) onFree(info prog.AllocInfo) {
 	if !m.enabled {
 		return
 	}
-	m.emit([]trace.TypeValue{{Type: trace.TypeFreeAddr, Value: int64(info.Addr)}})
+	m.emit(trace.Event{Kind: trace.KindFree, Addr: info.Addr})
 }
 
 // onMemOp is the per-op reference hook: multiplex rotation, then PEBS.
@@ -495,7 +496,7 @@ func (m *Monitor) onMemOp(op cpu.MemOp) {
 // in the per-op and gated paths — keeps the drain stall at the same point
 // of the instruction stream in both, which the equivalence tests require.
 func (m *Monitor) recordSnapshotAndMaybeDrain() {
-	m.pendingSnaps = append(m.pendingSnaps, m.core.PMU().Snapshot())
+	m.pending = append(m.pending, trace.Event{Kind: trace.KindSample, Counters: m.core.PMU().Snapshot()})
 	if m.engine.Pending() >= m.engine.BufferSize() {
 		m.engine.Flush()
 	}
@@ -592,37 +593,38 @@ func (m *Monitor) accrueEligibleExcluding(ev pebs.EventMask, op cpu.MemOp) {
 	m.accrueEligibleAt(ev, curL, curS)
 }
 
-// onDrain receives the PEBS buffer: resolve objects, emit trace records.
+// onDrain receives the PEBS buffer: resolve objects, then merge the
+// samples into the log. The samples carry their firing times, which can
+// precede region events logged while the buffer filled; the merge puts
+// each after every event logged at or before its time, so the log stays
+// in time order with ties in logging order.
 func (m *Monitor) onDrain(samples []pebs.Sample) {
-	if len(samples) != len(m.pendingSnaps) {
-		panic(fmt.Sprintf("extrae: %d samples vs %d snapshots", len(samples), len(m.pendingSnaps)))
+	if len(samples) != len(m.pending) {
+		panic(fmt.Sprintf("extrae: %d samples vs %d snapshots", len(samples), len(m.pending)))
 	}
 	for i, s := range samples {
 		m.reg.Record(s.Addr, s.Latency, s.Store, s.Source)
-		store := int64(0)
-		if s.Store {
-			store = 1
+		if s.Latency > math.MaxUint32 || s.Size < 0 || s.Size > math.MaxUint16 || s.Source < 0 || s.Source > math.MaxUint8 {
+			panic(fmt.Sprintf("extrae: sample %+v does not fit a trace event", s))
 		}
-		pairs := []trace.TypeValue{
-			{Type: trace.TypeSampleAddr, Value: int64(s.Addr)},
-			{Type: trace.TypeSampleLatency, Value: int64(s.Latency)},
-			{Type: trace.TypeSampleSource, Value: int64(s.Source)},
-			{Type: trace.TypeSampleStore, Value: store},
-			{Type: trace.TypeSampleIP, Value: int64(s.IP)},
-			{Type: trace.TypeSampleStack, Value: int64(s.StackID)},
-			{Type: trace.TypeSampleSize, Value: int64(s.Size)},
-		}
-		pairs = append(pairs, m.counterPairs(m.pendingSnaps[i])...)
-		m.records = append(m.records, trace.Record{
-			TimeNs: s.TimeNs, Task: m.task, Thread: m.thread, Pairs: pairs,
-		})
+		e := &m.pending[i]
+		e.TimeNs, e.Addr, e.IP = s.TimeNs, s.Addr, s.IP
+		e.Latency, e.StackID, e.Size = uint32(s.Latency), s.StackID, uint16(s.Size)
+		e.Source, e.Store = uint8(s.Source), s.Store
+		m.setCounters(e)
 	}
-	m.pendingSnaps = m.pendingSnaps[:0]
+	m.log.Add(m.pending...)
+	m.pending = m.pending[:0]
 	if m.cfg.DrainOverheadCycles > 0 {
 		m.core.Stall(m.cfg.DrainOverheadCycles)
 	}
 }
 
-// Records returns the trace accumulated so far (chronological: all records
-// are emitted at the single simulated thread's clock).
-func (m *Monitor) Records() []trace.Record { return m.records }
+// Log returns the trace accumulated so far, in time order. Read it in
+// place through its Chunks; it changes as the monitor records.
+func (m *Monitor) Log() *trace.Log { return &m.log }
+
+// Records returns the trace accumulated so far as one slice, in time
+// order, first merging the log's chunks into one (Log.Flatten). Walking
+// Log().Chunks() reads the same events without the copy.
+func (m *Monitor) Records() []trace.Event { return m.log.Flatten() }

@@ -75,6 +75,13 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(cfg, core, prog.NewBinary(), prog.NewAddressSpace(0)); err == nil {
 		t.Error("bad PEBS config accepted")
 	}
+	slow := memhier.DefaultConfig()
+	slow.DRAMLatency = 1 << 32
+	h, _ = memhier.New(slow)
+	core, _ = cpu.New(cpu.DefaultConfig(), h)
+	if _, err := New(DefaultConfig(), core, prog.NewBinary(), prog.NewAddressSpace(0)); err == nil {
+		t.Error("DRAM latency past the trace's 32-bit sample latency accepted")
+	}
 }
 
 func TestDisabledUntilStart(t *testing.T) {
@@ -101,7 +108,7 @@ func TestDisabledUntilStart(t *testing.T) {
 // must survive a Stop/Start cycle (ops while stopped advance neither
 // path). The two paths must emit identical traces across the restart.
 func TestStopStartPreservesCountdowns(t *testing.T) {
-	run := func(perOp bool) []trace.Record {
+	run := func(perOp bool) []trace.Event {
 		cfg := noMux(t)
 		cfg.PerOpObserve = perOp
 		r := newRig(t, cfg)
@@ -128,14 +135,8 @@ func TestStopStartPreservesCountdowns(t *testing.T) {
 		t.Fatalf("record counts diverge across restart: reference %d, gated %d", len(ref), len(fast))
 	}
 	for i := range ref {
-		a, b := ref[i], fast[i]
-		if a.TimeNs != b.TimeNs || a.Task != b.Task || a.Thread != b.Thread || len(a.Pairs) != len(b.Pairs) {
+		if a, b := ref[i], fast[i]; a != b {
 			t.Fatalf("record %d diverges: ref %+v, gated %+v", i, a, b)
-		}
-		for j := range a.Pairs {
-			if a.Pairs[j] != b.Pairs[j] {
-				t.Fatalf("record %d pair %d diverges: ref %+v, gated %+v", i, j, a.Pairs[j], b.Pairs[j])
-			}
 		}
 	}
 }
@@ -178,13 +179,13 @@ func TestRegionEventsCarryCounters(t *testing.T) {
 	r.mon.ExitRegion(reg)
 	r.mon.Stop()
 
-	var enter, exit *trace.Record
+	var enter, exit *trace.Event
 	for i := range r.mon.Records() {
 		rec := &r.mon.Records()[i]
-		if v, ok := rec.Get(trace.TypeRegion); ok {
-			if v == int64(reg) {
+		if rec.Kind == trace.KindRegion {
+			if rec.Addr == uint64(reg) {
 				enter = rec
-			} else if v == 0 {
+			} else if rec.Addr == 0 {
 				exit = rec
 			}
 		}
@@ -192,9 +193,9 @@ func TestRegionEventsCarryCounters(t *testing.T) {
 	if enter == nil || exit == nil {
 		t.Fatal("missing region enter/exit records")
 	}
-	instT := trace.TypeCounterBase + uint32(cpu.CtrInstructions)
-	i0, ok0 := enter.Get(instT)
-	i1, ok1 := exit.Get(instT)
+	const instBit = 1 << cpu.CtrInstructions
+	i0, ok0 := enter.Counters[cpu.CtrInstructions], enter.Counted&instBit != 0
+	i1, ok1 := exit.Counters[cpu.CtrInstructions], exit.Counted&instBit != 0
 	if !ok0 || !ok1 {
 		t.Fatal("region records missing instruction counter")
 	}
@@ -234,28 +235,28 @@ func TestSamplesResolveAndCarrySnapshots(t *testing.T) {
 	r.mon.Stop()
 
 	var nSamples int
-	var lastInstr int64
+	var lastInstr uint64
 	for _, rec := range r.mon.Records() {
-		a, ok := rec.Get(trace.TypeSampleAddr)
-		if !ok {
+		if rec.Kind != trace.KindSample {
 			continue
 		}
+		a := rec.Addr
 		nSamples++
-		if uint64(a) < addr || uint64(a) >= addr+1<<20 {
+		if a < addr || a >= addr+1<<20 {
 			t.Fatalf("sample address %#x outside object", a)
 		}
-		instr, ok := rec.Get(trace.TypeCounterBase + uint32(cpu.CtrInstructions))
-		if !ok {
+		if rec.Counted&(1<<cpu.CtrInstructions) == 0 {
 			t.Fatal("sample missing counter snapshot")
 		}
+		instr := rec.Counters[cpu.CtrInstructions]
 		if instr < lastInstr {
 			t.Fatal("counter snapshots not monotone across samples")
 		}
 		lastInstr = instr
-		if ipGot, _ := rec.Get(trace.TypeSampleIP); uint64(ipGot) != ip {
-			t.Fatalf("sample IP = %#x, want %#x", ipGot, ip)
+		if rec.IP != ip {
+			t.Fatalf("sample IP = %#x, want %#x", rec.IP, ip)
 		}
-		if st, _ := rec.Get(trace.TypeSampleStack); st == 0 {
+		if rec.StackID == 0 {
 			t.Fatal("sample stack id is 0 despite pushed frame")
 		}
 	}
@@ -279,8 +280,8 @@ func TestMultiplexingAlternates(t *testing.T) {
 	r.mon.Stop()
 	var loads, stores int
 	for _, rec := range r.mon.Records() {
-		if v, ok := rec.Get(trace.TypeSampleStore); ok {
-			if v == 1 {
+		if rec.Kind == trace.KindSample {
+			if rec.Store {
 				stores++
 			} else {
 				loads++
@@ -301,13 +302,13 @@ func TestAllocationEventsEmittedWhenEnabled(t *testing.T) {
 	r.mon.Stop()
 	var sawAlloc, sawFree bool
 	for _, rec := range r.mon.Records() {
-		if v, ok := rec.Get(trace.TypeAllocAddr); ok && uint64(v) == addr {
+		if rec.Kind == trace.KindAlloc && rec.Addr == addr {
 			sawAlloc = true
-			if sz, _ := rec.Get(trace.TypeAllocSize); sz != 2048 {
+			if sz := rec.IP; sz != 2048 {
 				t.Errorf("alloc size event = %d", sz)
 			}
 		}
-		if v, ok := rec.Get(trace.TypeFreeAddr); ok && uint64(v) == addr {
+		if rec.Kind == trace.KindFree && rec.Addr == addr {
 			sawFree = true
 		}
 	}
@@ -396,5 +397,40 @@ func TestTraceRoundTripThroughWriter(t *testing.T) {
 		if recs[i].TimeNs < recs[i-1].TimeNs {
 			t.Fatalf("record %d time regressed", i)
 		}
+	}
+}
+
+// TestSteadyStateLoggingAllocFree pins the monitor's steady state: region
+// events, samples and their drains allocate nothing while the log's
+// current chunk has room (chunk growth is the only allocation left, one
+// per up to 4 096 events).
+func TestSteadyStateLoggingAllocFree(t *testing.T) {
+	r := newRig(t, noMux(t))
+	reg := r.mon.RegisterRegion("k")
+	ip, _ := r.fn.IPForLine(10)
+	addr, _ := r.mon.Alloc(1 << 20)
+	r.mon.Start()
+	base := addr
+	round := func() {
+		r.mon.EnterRegion(reg)
+		r.sweep(ip, base, 4096, false) // ~5 samples at period 100
+		r.mon.ExitRegion(reg)
+		base = addr + (base-addr+4096)%(1<<20)
+	}
+	const runs = 50
+	room := func() int {
+		chunks := r.mon.Log().Chunks()
+		last := chunks[len(chunks)-1]
+		return cap(last) - len(last)
+	}
+	for r.mon.Log().Len() < 20000 || room() < 20*(runs+1) {
+		round()
+	}
+	before := r.mon.Log().Len()
+	if allocs := testing.AllocsPerRun(runs, round); allocs != 0 {
+		t.Fatalf("a monitored round allocates %.1f times", allocs)
+	}
+	if logged := r.mon.Log().Len() - before; logged < 5*(runs+1) {
+		t.Fatalf("only %d events logged in %d rounds", logged, runs+1)
 	}
 }

@@ -1,7 +1,9 @@
 package extrae
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/cpu"
 	"repro/internal/pebs"
@@ -12,15 +14,19 @@ import (
 // Checkpoint support. A monitor is snapshotted only between instances,
 // right after an ExitRegion has flushed the PEBS buffer: the pending
 // snapshot list is empty and every buffered sample has been resolved into
-// the record log, so the state reduces to the log itself, the interned
+// the event log, so the state reduces to the log itself, the interned
 // stack table, the multiplexing clock, the countdown bookkeeping and the
 // engine. The restore target is a monitor freshly rebuilt by replaying the
 // deterministic setup (same config, same region registrations).
 
 // MonitorState is the serializable mutable state of one monitor.
 type MonitorState struct {
-	Records []trace.Record
-	Stacks  [][]uint64
+	// Events is the log in time order. A snapshot written while the log
+	// was kept in logging order holds that order; RestoreState sorts it.
+	Events []trace.Event
+	// Task and Thread identify the monitor that logged Events.
+	Task, Thread int
+	Stacks       [][]uint64
 
 	RegionNames int // registered regions, validated against the rebuild
 	RegionStack []Region
@@ -41,15 +47,21 @@ type MonitorState struct {
 // State deep-copies the monitor's mutable state. It refuses to run with
 // samples pending resolution (checkpoints only happen post-flush).
 func (m *Monitor) State() (MonitorState, error) {
-	if len(m.pendingSnaps) != 0 {
-		return MonitorState{}, fmt.Errorf("extrae: cannot snapshot with %d pending sample snapshots", len(m.pendingSnaps))
+	if len(m.pending) != 0 {
+		return MonitorState{}, fmt.Errorf("extrae: cannot snapshot with %d pending sample snapshots", len(m.pending))
 	}
 	eng, err := m.engine.State()
 	if err != nil {
 		return MonitorState{}, err
 	}
+	events := make([]trace.Event, 0, m.log.Len())
+	for _, c := range m.log.Chunks() {
+		events = append(events, c...)
+	}
 	st := MonitorState{
-		Records:     append([]trace.Record(nil), m.records...),
+		Events:      events,
+		Task:        m.task,
+		Thread:      m.thread,
 		Stacks:      m.stacks.Stacks(),
 		RegionNames: len(m.regionNames),
 		RegionStack: append([]Region(nil), m.regionStack...),
@@ -77,9 +89,6 @@ func (m *Monitor) State() (MonitorState, error) {
 			st.StoreRem = sg
 		}
 	}
-	for i, r := range st.Records {
-		st.Records[i].Pairs = append([]trace.TypeValue(nil), r.Pairs...)
-	}
 	return st, nil
 }
 
@@ -88,6 +97,9 @@ func (m *Monitor) State() (MonitorState, error) {
 // gates re-armed where the snapshot left them. The caller restores the
 // core's memory hierarchy and the shared registry separately.
 func (m *Monitor) RestoreState(st MonitorState) error {
+	if len(st.Events) > 0 && (st.Task != m.task || st.Thread != m.thread) {
+		return fmt.Errorf("extrae: snapshot log is task %d thread %d, rebuilt monitor is task %d thread %d", st.Task, st.Thread, m.task, m.thread)
+	}
 	if st.RegionNames != len(m.regionNames) {
 		return fmt.Errorf("extrae: snapshot has %d registered regions, rebuilt monitor has %d", st.RegionNames, len(m.regionNames))
 	}
@@ -108,7 +120,14 @@ func (m *Monitor) RestoreState(st MonitorState) error {
 	if err := m.core.RestoreState(st.Core); err != nil {
 		return err
 	}
-	m.records = append(m.records[:0], st.Records...)
+	events := st.Events
+	if !slices.IsSortedFunc(events, func(a, b trace.Event) int { return cmp.Compare(a.TimeNs, b.TimeNs) }) {
+		// A log in logging order: Add stable-sorts it in place, which is
+		// the order the log would have had. Sort a copy, not the snapshot.
+		events = slices.Clone(events)
+	}
+	m.log.Reset()
+	m.log.Add(events...)
 	m.regionStack = append(m.regionStack[:0], st.RegionStack...)
 	m.callStack = prog.CallStack{}
 	for _, ip := range st.CallStack {
@@ -121,7 +140,7 @@ func (m *Monitor) RestoreState(st MonitorState) error {
 	m.storeRem = st.StoreRem
 	m.lastLoads = st.LastLoads
 	m.lastStores = st.LastStores
-	m.pendingSnaps = m.pendingSnaps[:0]
+	m.pending = m.pending[:0]
 	m.enabled = true
 	m.started = true
 	m.finished = false

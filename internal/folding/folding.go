@@ -29,31 +29,35 @@ import (
 	"repro/internal/trace"
 )
 
-// Sample is one monitoring sample inside a region instance, before folding.
-type Sample struct {
-	TimeNs   uint64
-	Counters [cpu.NumCounters]uint64
-	Addr     uint64
-	Latency  uint64
-	Source   memhier.DataSource
-	Store    bool
-	IP       uint64
-	StackID  uint32
-	Size     int
-}
-
 // Instance is one dynamic execution of the folded region.
 type Instance struct {
-	T0, T1  uint64 // entry and exit times (ns)
-	C0, C1  [cpu.NumCounters]uint64
-	Samples []Sample
+	T0, T1 uint64 // entry and exit times (ns)
+	C0, C1 [cpu.NumCounters]uint64
+	// Events is the stretch of the log between the instance's entry and
+	// exit events, in place, as capacity-capped chunk segments. Its sample
+	// events are the instance's samples; the others (nested regions,
+	// allocations) are skipped.
+	Events [][]trace.Event
 }
 
 // DurationNs returns the instance duration.
 func (in *Instance) DurationNs() uint64 { return in.T1 - in.T0 }
 
-// Extract collects the instances of the given region id from a chronological
-// trace record stream, attaching the samples that fall inside each instance.
+// NumSamples counts the instance's sample events.
+func (in *Instance) NumSamples() int {
+	n := 0
+	for _, seg := range in.Events {
+		for i := range seg {
+			if seg[i].Kind == trace.KindSample {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// Extract collects the instances of the given region id from one thread's
+// time-ordered log, each as the span of the log its samples lie in.
 // Regions nest (an HPCG iteration contains SYMGS/SPMV/MG sub-regions); the
 // nesting depth of sub-regions opened inside the instance is tracked so
 // only the matching end event closes an instance. End events are anonymous
@@ -63,64 +67,26 @@ func (in *Instance) DurationNs() uint64 { return in.T1 - in.T0 }
 // Ends seen outside any instance (an enclosing region's end, or an
 // unmatched end whose entry predates the trace) are ignored. Nested
 // occurrences of the *same* region id are rejected.
-//
-// Extract assumes a single-thread stream: every record must come from one
-// (task, thread). For a merged multi-thread trace use ExtractThread, which
-// filters by emitter — scanning a merged trace thread-blind interleaves
-// region events from different threads (a foreign end event lands inside
-// an open instance and truncates it at the wrong timestamp) and corrupts
-// every folded curve.
-func Extract(records []trace.Record, region int64) ([]Instance, error) {
-	return extract(records, region, 0, 0)
-}
-
-// ExtractThread is Extract over the records emitted by one (task, thread)
-// of a merged multi-thread trace (ids are 1-based, as in Paraver). Records
-// from other emitters are ignored, so each simulated thread of a Machine
-// run folds independently.
-func ExtractThread(records []trace.Record, region int64, task, thread int) ([]Instance, error) {
-	if task <= 0 || thread <= 0 {
-		return nil, fmt.Errorf("folding: task/thread must be 1-based, got %d/%d", task, thread)
-	}
-	return extract(records, region, task, thread)
-}
-
-// extract implements Extract and ExtractThread; task == 0 disables the
-// emitter filter.
-//
-// Every instance's samples live in one backing slice, sized up front by the
-// emitter's sample records (the ones outside any instance make it an upper
-// bound), so it never grows. Each instance gets a capacity-capped
-// sub-slice: an append through one instance's Samples cannot overwrite the
-// next instance's.
-func extract(records []trace.Record, region int64, task, thread int) ([]Instance, error) {
-	mine := func(rec *trace.Record) bool {
-		return task == 0 || (rec.Task == task && rec.Thread == thread)
-	}
-	n := 0
-	for i := range records {
-		if rec := &records[i]; mine(rec) && rec.Has(trace.TypeSampleAddr) {
-			n++
-		}
-	}
-	samples := make([]Sample, 0, n)
+func Extract(log *trace.Log, region int64) ([]Instance, error) {
 	var out []Instance
 	var cur *Instance
-	first := 0 // index in samples of the current instance's first sample
+	open := 0  // log index of the current instance's entry event
 	depth := 0 // nested sub-regions opened inside the current instance
-	for i := range records {
-		rec := &records[i]
-		if !mine(rec) {
-			continue
-		}
-		if v, ok := rec.Get(trace.TypeRegion); ok {
-			switch {
+	i := -1
+	for _, c := range log.Chunks() {
+		for k := range c {
+			i++
+			e := &c[k]
+			if e.Kind != trace.KindRegion {
+				continue
+			}
+			switch v := int64(e.Addr); {
 			case v == region:
 				if cur != nil {
-					return nil, fmt.Errorf("folding: nested instance of region %d at %d ns", region, rec.TimeNs)
+					return nil, fmt.Errorf("folding: nested instance of region %d at %d ns", region, e.TimeNs)
 				}
-				cur = &Instance{T0: rec.TimeNs, C0: countersOf(rec)}
-				first = len(samples)
+				cur = &Instance{T0: e.TimeNs, C0: e.Counters}
+				open = i
 				depth = 0
 			case v > 0 && cur != nil:
 				depth++
@@ -133,54 +99,43 @@ func extract(records []trace.Record, region int64, task, thread int) ([]Instance
 				// so a depth-0 end closes it. (Ends carry no region id; a
 				// trace whose enclosing region ends mid-instance is not
 				// well-nested and indistinguishable from this case.)
-				cur.T1 = rec.TimeNs
-				cur.C1 = countersOf(rec)
-				cur.Samples = samples[first:len(samples):len(samples)]
+				cur.T1 = e.TimeNs
+				cur.C1 = e.Counters
+				cur.Events = log.Span(open+1, i)
 				out = append(out, *cur)
 				cur = nil
 			}
 			// Region events outside any instance — enclosing opens, their
 			// ends, and unmatched ends whose opens predate the trace — do
 			// not affect extraction.
-			continue
-		}
-		if cur == nil {
-			continue
-		}
-		if addr, ok := rec.Get(trace.TypeSampleAddr); ok {
-			s := Sample{TimeNs: rec.TimeNs, Addr: uint64(addr), Counters: countersOf(rec)}
-			if v, ok := rec.Get(trace.TypeSampleLatency); ok {
-				s.Latency = uint64(v)
-			}
-			if v, ok := rec.Get(trace.TypeSampleSource); ok {
-				s.Source = memhier.DataSource(v)
-			}
-			if v, ok := rec.Get(trace.TypeSampleStore); ok {
-				s.Store = v == 1
-			}
-			if v, ok := rec.Get(trace.TypeSampleIP); ok {
-				s.IP = uint64(v)
-			}
-			if v, ok := rec.Get(trace.TypeSampleStack); ok {
-				s.StackID = uint32(v)
-			}
-			if v, ok := rec.Get(trace.TypeSampleSize); ok {
-				s.Size = int(v)
-			}
-			samples = append(samples, s)
 		}
 	}
 	return out, nil
 }
 
-func countersOf(rec *trace.Record) [cpu.NumCounters]uint64 {
-	var c [cpu.NumCounters]uint64
-	for i := cpu.CounterID(0); i < cpu.NumCounters; i++ {
-		if v, ok := rec.Get(trace.TypeCounterBase + uint32(i)); ok {
-			c[i] = uint64(v)
-		}
+// ExtractThread is Extract over the records one (task, thread) emitted in
+// a merged multi-thread trace, such as a PRV file read back (ids are
+// 1-based, as in Paraver). Records from other emitters are ignored, so
+// each simulated thread of a Machine run folds independently; the
+// thread's records must each be one of the event shapes trace.EventOf
+// accepts.
+func ExtractThread(records []trace.Record, region int64, task, thread int) ([]Instance, error) {
+	if task <= 0 || thread <= 0 {
+		return nil, fmt.Errorf("folding: task/thread must be 1-based, got %d/%d", task, thread)
 	}
-	return c
+	var log trace.Log
+	for i := range records {
+		rec := &records[i]
+		if rec.Task != task || rec.Thread != thread {
+			continue
+		}
+		e, err := trace.EventOf(rec.TimeNs, rec.Pairs)
+		if err != nil {
+			return nil, fmt.Errorf("folding: record at %d ns: %w", rec.TimeNs, err)
+		}
+		log.Add(e)
+	}
+	return Extract(&log, region)
 }
 
 // Config parameterizes the folding computation.
@@ -208,7 +163,7 @@ type Config struct {
 	// active, which is how the original tools attribute the multigrid
 	// coarse-level work to ComputeMG_ref rather than to the smoother code
 	// it shares with the fine level.
-	PhaseIP func(Sample) uint64
+	PhaseIP func(*trace.Event) uint64
 	// FuncOf resolves an instruction pointer to a function name. When set,
 	// the phase-sliver merging uses exact function identity; otherwise it
 	// falls back to an IP-distance heuristic.
@@ -366,7 +321,7 @@ func Fold(instances []Instance, cfg Config) (*Folded, error) {
 	// cloud, so no more than one differing cloud is ever held.
 	var nSamples int
 	for i := range kept {
-		nSamples += len(kept[i].Samples)
+		nSamples += kept[i].NumSamples()
 	}
 	size := 2*len(kept) + nSamples
 	sm := stats.Smoother{Kernel: cfg.Kernel, Bandwidth: cfg.Bandwidth, Lo: 0, Hi: 1}
@@ -426,20 +381,26 @@ func Fold(instances []Instance, cfg Config) (*Folded, error) {
 		if dur == 0 {
 			continue
 		}
-		for _, s := range in.Samples {
-			sigma := float64(s.TimeNs-in.T0) / dur
-			if sigma < 0 || sigma >= 1 {
-				continue
+		for _, seg := range in.Events {
+			for k := range seg {
+				s := &seg[k]
+				if s.Kind != trace.KindSample {
+					continue
+				}
+				sigma := float64(s.TimeNs-in.T0) / dur
+				if sigma < 0 || sigma >= 1 {
+					continue
+				}
+				pip := s.IP
+				if cfg.PhaseIP != nil {
+					pip = cfg.PhaseIP(s)
+				}
+				f.Mem = append(f.Mem, MemPoint{
+					Sigma: sigma, Addr: s.Addr, Store: s.Store, Latency: uint64(s.Latency),
+					Source: memhier.DataSource(s.Source), IP: s.IP, PhaseIP: pip, StackID: s.StackID, Size: int(s.Size),
+				})
+				f.Lines = append(f.Lines, LinePoint{Sigma: sigma, IP: pip})
 			}
-			pip := s.IP
-			if cfg.PhaseIP != nil {
-				pip = cfg.PhaseIP(s)
-			}
-			f.Mem = append(f.Mem, MemPoint{
-				Sigma: sigma, Addr: s.Addr, Store: s.Store, Latency: s.Latency,
-				Source: s.Source, IP: s.IP, PhaseIP: pip, StackID: s.StackID, Size: s.Size,
-			})
-			f.Lines = append(f.Lines, LinePoint{Sigma: sigma, IP: pip})
 		}
 	}
 	slices.SortFunc(f.Mem, func(a, b MemPoint) int {
@@ -529,17 +490,23 @@ func foldCounter(instances []Instance, c cpu.CounterID, xs, ys []float64) ([]flo
 		}
 		xs = append(xs, 0, 1)
 		ys = append(ys, 0, 1)
-		for _, s := range in.Samples {
-			sigma := float64(s.TimeNs-in.T0) / dur
-			if sigma < 0 || sigma > 1 {
-				continue
+		for _, seg := range in.Events {
+			for k := range seg {
+				s := &seg[k]
+				if s.Kind != trace.KindSample {
+					continue
+				}
+				sigma := float64(s.TimeNs-in.T0) / dur
+				if sigma < 0 || sigma > 1 {
+					continue
+				}
+				frac := (float64(s.Counters[c]) - float64(in.C0[c])) / total
+				if frac < 0 || frac > 1 || math.IsNaN(frac) {
+					continue
+				}
+				xs = append(xs, sigma)
+				ys = append(ys, frac)
 			}
-			frac := (float64(s.Counters[c]) - float64(in.C0[c])) / total
-			if frac < 0 || frac > 1 || math.IsNaN(frac) {
-				continue
-			}
-			xs = append(xs, sigma)
-			ys = append(ys, frac)
 		}
 	}
 	return xs, ys

@@ -24,13 +24,15 @@ func synthInstance(t0, durNs uint64, nSamples int, ipA, ipB, addrBase, span uint
 	in.C1[cpu.CtrBranches] = totalInstr / 10
 	in.C0[cpu.CtrL1DMiss] = 0
 	in.C1[cpu.CtrL1DMiss] = totalInstr / 20
+	samples := make([]trace.Event, 0, nSamples)
 	for i := 0; i < nSamples; i++ {
 		sigma := (float64(i) + 0.5) / float64(nSamples)
-		s := Sample{
+		s := trace.Event{
+			Kind:    trace.KindSample,
 			TimeNs:  t0 + uint64(sigma*float64(durNs)),
 			Store:   i%4 == 0,
 			Size:    8,
-			Source:  memhier.SrcL2,
+			Source:  uint8(memhier.SrcL2),
 			Latency: 12,
 		}
 		s.Counters[cpu.CtrInstructions] = uint64(sigma * totalInstr)
@@ -44,9 +46,30 @@ func synthInstance(t0, durNs uint64, nSamples int, ipA, ipB, addrBase, span uint
 			s.IP = ipB
 			s.Addr = addrBase + span - uint64(2*(sigma-0.5)*float64(span))
 		}
-		in.Samples = append(in.Samples, s)
+		samples = append(samples, s)
 	}
+	in.Events = [][]trace.Event{samples}
 	return in
+}
+
+// sampleEvents returns an instance's sample events, in place.
+func sampleEvents(in *Instance) []*trace.Event {
+	var out []*trace.Event
+	for _, seg := range in.Events {
+		for i := range seg {
+			if seg[i].Kind == trace.KindSample {
+				out = append(out, &seg[i])
+			}
+		}
+	}
+	return out
+}
+
+// logOf logs events in the order given.
+func logOf(events ...trace.Event) *trace.Log {
+	var l trace.Log
+	l.Add(events...)
+	return &l
 }
 
 func synthInstances(n int) []Instance {
@@ -292,35 +315,21 @@ func TestSweepDirString(t *testing.T) {
 }
 
 func TestExtractInstances(t *testing.T) {
-	ctr := func(instr uint64) []trace.TypeValue {
-		return []trace.TypeValue{
-			{Type: trace.TypeCounterBase + uint32(cpu.CtrInstructions), Value: int64(instr)},
-		}
-	}
-	recs := []trace.Record{
-		{TimeNs: 100, Task: 1, Thread: 1,
-			Pairs: append([]trace.TypeValue{{Type: trace.TypeRegion, Value: 7}}, ctr(10)...)},
-		{TimeNs: 150, Task: 1, Thread: 1, Pairs: append([]trace.TypeValue{
-			{Type: trace.TypeSampleAddr, Value: 0x1000},
-			{Type: trace.TypeSampleLatency, Value: 36},
-			{Type: trace.TypeSampleSource, Value: int64(memhier.SrcL3)},
-			{Type: trace.TypeSampleStore, Value: 1},
-			{Type: trace.TypeSampleIP, Value: 0x400100},
-			{Type: trace.TypeSampleStack, Value: 3},
-			{Type: trace.TypeSampleSize, Value: 8},
-		}, ctr(50)...)},
-		{TimeNs: 200, Task: 1, Thread: 1,
-			Pairs: append([]trace.TypeValue{{Type: trace.TypeRegion, Value: 0}}, ctr(110)...)},
+	sample := trace.Event{TimeNs: 150, Kind: trace.KindSample, Addr: 0x1000, Latency: 36,
+		Source: uint8(memhier.SrcL3), Store: true, IP: 0x400100, StackID: 3, Size: 8,
+		Counted: 1 << cpu.CtrInstructions}
+	sample.Counters[cpu.CtrInstructions] = 50
+	log := logOf(
+		regionEv(100, 7, 10),
+		sample,
+		regionEv(200, 0, 110),
 		// A sample outside any instance is ignored.
-		{TimeNs: 250, Task: 1, Thread: 1, Pairs: []trace.TypeValue{
-			{Type: trace.TypeSampleAddr, Value: 0x9999}}},
+		sampleEv(250, 0x9999),
 		// Second instance, no samples.
-		{TimeNs: 300, Task: 1, Thread: 1,
-			Pairs: append([]trace.TypeValue{{Type: trace.TypeRegion, Value: 7}}, ctr(200)...)},
-		{TimeNs: 400, Task: 1, Thread: 1,
-			Pairs: append([]trace.TypeValue{{Type: trace.TypeRegion, Value: 0}}, ctr(300)...)},
-	}
-	ins, err := Extract(recs, 7)
+		regionEv(300, 7, 200),
+		regionEv(400, 0, 300),
+	)
+	ins, err := Extract(log, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,54 +343,48 @@ func TestExtractInstances(t *testing.T) {
 	if in.C0[cpu.CtrInstructions] != 10 || in.C1[cpu.CtrInstructions] != 110 {
 		t.Errorf("instance counters = %v..%v", in.C0, in.C1)
 	}
-	if len(in.Samples) != 1 {
-		t.Fatalf("instance samples = %d", len(in.Samples))
+	if in.NumSamples() != 1 {
+		t.Fatalf("instance samples = %d", in.NumSamples())
 	}
-	s := in.Samples[0]
-	if s.Addr != 0x1000 || s.Latency != 36 || s.Source != memhier.SrcL3 ||
+	s := sampleEvents(&in)[0]
+	if s.Addr != 0x1000 || s.Latency != 36 || memhier.DataSource(s.Source) != memhier.SrcL3 ||
 		!s.Store || s.IP != 0x400100 || s.StackID != 3 || s.Size != 8 ||
 		s.Counters[cpu.CtrInstructions] != 50 {
 		t.Errorf("sample = %+v", s)
 	}
-	if len(ins[1].Samples) != 0 {
+	if ins[1].NumSamples() != 0 {
 		t.Error("second instance should have no samples")
 	}
 }
 
 func TestExtractNestedRejected(t *testing.T) {
-	recs := []trace.Record{
-		{TimeNs: 1, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 7}}},
-		{TimeNs: 2, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 7}}},
-	}
-	if _, err := Extract(recs, 7); err == nil {
+	if _, err := Extract(logOf(regionEv(1, 7, 0), regionEv(2, 7, 0)), 7); err == nil {
 		t.Error("nested instance accepted")
 	}
 }
 
 func TestExtractIgnoresOtherRegions(t *testing.T) {
-	recs := []trace.Record{
-		{TimeNs: 1, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 5}}},
-		{TimeNs: 2, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 0}}},
-	}
-	ins, err := Extract(recs, 7)
+	ins, err := Extract(logOf(regionEv(1, 5, 0), regionEv(2, 0, 0)), 7)
 	if err != nil || len(ins) != 0 {
 		t.Errorf("ins = %v, err = %v", ins, err)
 	}
 }
 
-// regionRec builds a one-pair region record for the given emitter.
-func regionRec(tns uint64, task, thread int, value int64, instr uint64) trace.Record {
-	return trace.Record{TimeNs: tns, Task: task, Thread: thread, Pairs: []trace.TypeValue{
-		{Type: trace.TypeRegion, Value: value},
-		{Type: trace.TypeCounterBase + uint32(cpu.CtrInstructions), Value: int64(instr)},
-	}}
+// regionEv builds a region event carrying the instruction counter.
+func regionEv(tns uint64, value int64, instr uint64) trace.Event {
+	e := trace.Event{TimeNs: tns, Kind: trace.KindRegion, Addr: uint64(value), Counted: 1 << cpu.CtrInstructions}
+	e.Counters[cpu.CtrInstructions] = instr
+	return e
 }
 
-// sampleRec builds a one-address sample record for the given emitter.
-func sampleRec(tns uint64, task, thread int, addr uint64) trace.Record {
-	return trace.Record{TimeNs: tns, Task: task, Thread: thread, Pairs: []trace.TypeValue{
-		{Type: trace.TypeSampleAddr, Value: int64(addr)},
-	}}
+// sampleEv builds a sample event with only an address.
+func sampleEv(tns uint64, addr uint64) trace.Event {
+	return trace.Event{TimeNs: tns, Kind: trace.KindSample, Addr: addr}
+}
+
+// record renders an event as the given emitter's record.
+func record(task, thread int, e trace.Event) trace.Record {
+	return trace.Record{TimeNs: e.TimeNs, Task: task, Thread: thread, Pairs: e.AppendPairs(nil)}
 }
 
 // TestExtractThreadInterleaved is the regression test for thread-blind
@@ -392,16 +395,14 @@ func TestExtractThreadInterleaved(t *testing.T) {
 	// Thread 1: instance [100, 300] with a sample at 200.
 	// Thread 2: instance [150, 420] with samples at 180 and 350 — its
 	// region events land inside thread 1's instance in the merged order.
-	merged := trace.Merge([]trace.Record{
-		regionRec(100, 1, 1, 7, 10),
-		sampleRec(200, 1, 1, 0x1000),
-		regionRec(300, 1, 1, 0, 110),
-	}, []trace.Record{
-		regionRec(150, 1, 2, 7, 1000),
-		sampleRec(180, 1, 2, 0x2000),
-		sampleRec(350, 1, 2, 0x3000),
-		regionRec(420, 1, 2, 0, 1500),
-	})
+	t1 := []trace.Event{regionEv(100, 7, 10), sampleEv(200, 0x1000), regionEv(300, 0, 110)}
+	t2 := []trace.Event{regionEv(150, 7, 1000), sampleEv(180, 0x2000), sampleEv(350, 0x3000), regionEv(420, 0, 1500)}
+	var merged []trace.Record
+	var all []trace.Event
+	for _, r := range trace.Merge(logOf(t1...), logOf(t2...)) {
+		merged = append(merged, record(1, r.Log+1, *r.Event))
+		all = append(all, *r.Event)
+	}
 	for _, tc := range []struct {
 		thread  int
 		t0, t1  uint64
@@ -426,21 +427,22 @@ func TestExtractThreadInterleaved(t *testing.T) {
 			t.Errorf("thread %d: counters %d..%d, want %d..%d", tc.thread,
 				in.C0[cpu.CtrInstructions], in.C1[cpu.CtrInstructions], tc.c0, tc.c1)
 		}
-		if len(in.Samples) != len(tc.samples) {
-			t.Fatalf("thread %d: %d samples, want %d", tc.thread, len(in.Samples), len(tc.samples))
+		samples := sampleEvents(&in)
+		if len(samples) != len(tc.samples) {
+			t.Fatalf("thread %d: %d samples, want %d", tc.thread, len(samples), len(tc.samples))
 		}
 		for i, want := range tc.samples {
-			if in.Samples[i].Addr != want {
-				t.Errorf("thread %d sample %d: addr %#x, want %#x", tc.thread, i, in.Samples[i].Addr, want)
+			if samples[i].Addr != want {
+				t.Errorf("thread %d sample %d: addr %#x, want %#x", tc.thread, i, samples[i].Addr, want)
 			}
 		}
 	}
 	if _, err := ExtractThread(merged, 7, 0, 1); err == nil {
 		t.Error("0-based task accepted")
 	}
-	// The thread-blind Extract cannot parse this stream (thread 2's entry
+	// A thread-blind Extract cannot parse this stream (thread 2's entry
 	// nests inside thread 1's open instance of the same region id).
-	if _, err := Extract(merged, 7); err == nil {
+	if _, err := Extract(logOf(all...), 7); err == nil {
 		t.Error("thread-blind Extract accepted an interleaved merged trace")
 	}
 }
@@ -452,20 +454,20 @@ func TestExtractThreadInterleaved(t *testing.T) {
 // open before the instance, its end after) must not perturb the instance
 // bounds.
 func TestExtractNestedRegionInsideEnclosure(t *testing.T) {
-	recs := []trace.Record{
-		regionRec(0, 1, 1, 5, 0),    // enclosing iteration opens
-		regionRec(10, 1, 1, 7, 100), // nested target instance opens
-		sampleRec(20, 1, 1, 0x1000),
-		regionRec(50, 1, 1, 0, 400), // the instance's own end (LIFO)
-		sampleRec(60, 1, 1, 0x2000), // outside the instance: dropped
-		regionRec(90, 1, 1, 0, 900), // the enclosure's end: ignored
+	log := logOf(
+		regionEv(0, 5, 0),    // enclosing iteration opens
+		regionEv(10, 7, 100), // nested target instance opens
+		sampleEv(20, 0x1000),
+		regionEv(50, 0, 400), // the instance's own end (LIFO)
+		sampleEv(60, 0x2000), // outside the instance: dropped
+		regionEv(90, 0, 900), // the enclosure's end: ignored
 		// Second iteration with a second instance.
-		regionRec(100, 1, 1, 5, 1000),
-		regionRec(110, 1, 1, 7, 1100),
-		regionRec(150, 1, 1, 0, 1400),
-		regionRec(190, 1, 1, 0, 1900),
-	}
-	ins, err := Extract(recs, 7)
+		regionEv(100, 5, 1000),
+		regionEv(110, 7, 1100),
+		regionEv(150, 0, 1400),
+		regionEv(190, 0, 1900),
+	)
+	ins, err := Extract(log, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,8 +478,8 @@ func TestExtractNestedRegionInsideEnclosure(t *testing.T) {
 		t.Errorf("instance 0 = %d..%d (exit ctr %d), want 10..50 (400)",
 			in.T0, in.T1, in.C1[cpu.CtrInstructions])
 	}
-	if len(ins[0].Samples) != 1 || ins[0].Samples[0].Addr != 0x1000 {
-		t.Errorf("instance 0 samples = %+v, want the single in-instance sample", ins[0].Samples)
+	if s := sampleEvents(&ins[0]); len(s) != 1 || s[0].Addr != 0x1000 {
+		t.Errorf("instance 0 samples = %+v, want the single in-instance sample", s)
 	}
 	if in := ins[1]; in.T0 != 110 || in.T1 != 150 {
 		t.Errorf("instance 1 = %d..%d, want 110..150", in.T0, in.T1)
@@ -488,15 +490,15 @@ func TestExtractNestedRegionInsideEnclosure(t *testing.T) {
 // records (regions entered before monitoring started): between instances
 // they must not disturb extraction.
 func TestExtractIgnoresUnmatchedEnds(t *testing.T) {
-	recs := []trace.Record{
-		regionRec(5, 1, 1, 0, 0), // end of a region opened before the trace
-		regionRec(10, 1, 1, 7, 100),
-		regionRec(100, 1, 1, 0, 900),
-		regionRec(150, 1, 1, 0, 950), // another stray end between instances
-		regionRec(200, 1, 1, 7, 1000),
-		regionRec(300, 1, 1, 0, 1900),
-	}
-	ins, err := Extract(recs, 7)
+	log := logOf(
+		regionEv(5, 0, 0), // end of a region opened before the trace
+		regionEv(10, 7, 100),
+		regionEv(100, 0, 900),
+		regionEv(150, 0, 950), // another stray end between instances
+		regionEv(200, 7, 1000),
+		regionEv(300, 0, 1900),
+	)
+	ins, err := Extract(log, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

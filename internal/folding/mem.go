@@ -264,10 +264,10 @@ func (f *Folded) finishPhase(p *Phase) {
 			}
 		}
 		p.DominantIP = uint64(stats.Quantile(ips, 0.5))
-		lo5 := stats.Quantile(addrs, 0.05)
-		hi95 := stats.Quantile(addrs, 0.95)
+		q := stats.Quantiles(addrs, 0.05, 0.95)
+		lo5, hi95 := q[0], q[1]
 		p.AddrLo, p.AddrHi = uint64(lo5), uint64(hi95)
-		p.Direction = classifySweep(sigmas, addrs)
+		p.Direction = classifySweep(sigmas, addrs, hi95-lo5)
 		if p.DurationNs > 0 {
 			span := hi95 - lo5
 			// Scale the 5–95 span back to the full traversal extent.
@@ -310,8 +310,9 @@ func (f *Folded) finishPhase(p *Phase) {
 
 // classifySweep decides the traversal direction from a linear fit of
 // address on sigma: the trend must explain at least a quarter of the
-// address spread to count as a sweep.
-func classifySweep(sigmas, addrs []float64) SweepDir {
+// address spread (the 5–95 % quantile distance of addrs) to count as a
+// sweep.
+func classifySweep(sigmas, addrs []float64, spread float64) SweepDir {
 	if len(sigmas) < 4 {
 		return SweepFlat
 	}
@@ -319,7 +320,6 @@ func classifySweep(sigmas, addrs []float64) SweepDir {
 	if err != nil {
 		return SweepFlat
 	}
-	spread := stats.Quantile(addrs, 0.95) - stats.Quantile(addrs, 0.05)
 	width := sigmas[len(sigmas)-1] - sigmas[0]
 	if spread <= 0 || width <= 0 {
 		return SweepFlat

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cpu"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // perCounterCurves is the counter fold as it stood before the shared-cloud
@@ -67,21 +66,20 @@ func TestFoldSharedCloudMatchesPerCounterFit(t *testing.T) {
 		// (equal sample counts) carry different fractions, so the order of
 		// tied samples shows in the low bits of the fit.
 		p := 1 + float64(k%5)/4
-		for i := range in.Samples {
-			s := &in.Samples[i]
+		for _, s := range sampleEvents(in) {
 			sigma := float64(s.TimeNs-in.T0) / float64(in.DurationNs())
 			s.Counters[cpu.CtrCycles] = uint64(math.Pow(sigma, p) * float64(in.C1[cpu.CtrCycles]))
 		}
 	}
 	quiet := &instances[3]
 	quiet.C1[cpu.CtrL1DMiss] = quiet.C0[cpu.CtrL1DMiss]
-	for i := range quiet.Samples {
-		quiet.Samples[i].Counters[cpu.CtrL1DMiss] = 0
+	for _, s := range sampleEvents(quiet) {
+		s.Counters[cpu.CtrL1DMiss] = 0
 	}
 	for _, c := range []cpu.CounterID{cpu.CtrInstructions, cpu.CtrBranches} {
-		instances[2].Samples[7].Counters[c] = 2 * instances[2].C1[c]
+		sampleEvents(&instances[2])[7].Counters[c] = 2 * instances[2].C1[c]
 	}
-	instances[4].Samples[9].Counters[cpu.CtrCycles] = 2 * instances[4].C1[cpu.CtrCycles]
+	sampleEvents(&instances[4])[9].Counters[cpu.CtrCycles] = 2 * instances[4].C1[cpu.CtrCycles]
 
 	cfg := DefaultConfig()
 	f, err := Fold(instances, cfg)
@@ -131,27 +129,31 @@ func TestFoldSharedCloudMatchesPerCounterFit(t *testing.T) {
 	}
 }
 
-// TestExtractSamplesCapacityCapped pins the shared sample backing of
-// extract: appending to one instance's Samples must not overwrite the next
-// instance's first sample.
+// TestExtractSamplesCapacityCapped pins the instances' view of the log:
+// each instance's Events is a capacity-capped span, so appending to one
+// cannot overwrite the log (the instance's exit event, the next instance's
+// samples).
 func TestExtractSamplesCapacityCapped(t *testing.T) {
-	recs := []trace.Record{
-		regionRec(100, 1, 1, 7, 0),
-		sampleRec(150, 1, 1, 0x10),
-		regionRec(200, 1, 1, 0, 10),
-		regionRec(300, 1, 1, 7, 10),
-		sampleRec(350, 1, 1, 0x20),
-		regionRec(400, 1, 1, 0, 20),
-	}
-	ins, err := Extract(recs, 7)
+	log := logOf(
+		regionEv(100, 7, 0),
+		sampleEv(150, 0x10),
+		regionEv(200, 0, 10),
+		regionEv(300, 7, 10),
+		sampleEv(350, 0x20),
+		regionEv(400, 0, 20),
+	)
+	ins, err := Extract(log, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ins) != 2 || len(ins[0].Samples) != 1 || len(ins[1].Samples) != 1 {
+	if len(ins) != 2 || len(ins[0].Events) != 1 || len(ins[0].Events[0]) != 1 || ins[1].NumSamples() != 1 {
 		t.Fatalf("extracted %+v", ins)
 	}
-	_ = append(ins[0].Samples, Sample{Addr: 0xbad})
-	if got := ins[1].Samples[0].Addr; got != 0x20 {
+	_ = append(ins[0].Events[0], sampleEv(160, 0xbad))
+	if got := sampleEvents(&ins[1])[0].Addr; got != 0x20 {
 		t.Fatalf("second instance's sample overwritten: addr %#x", got)
+	}
+	if got := log.Flatten()[2]; got != regionEv(200, 0, 10) {
+		t.Fatalf("first instance's exit overwritten: %+v", got)
 	}
 }

@@ -314,8 +314,8 @@ func TestIterationRegionsEmitted(t *testing.T) {
 	r.mon.Stop()
 	var enters, exits int
 	for _, rec := range r.mon.Records() {
-		if v, ok := rec.Get(trace.TypeRegion); ok {
-			if v == int64(p.RegionIteration) {
+		if rec.Kind == trace.KindRegion {
+			if rec.Addr == uint64(p.RegionIteration) {
 				enters++
 			}
 		}

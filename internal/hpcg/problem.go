@@ -352,7 +352,9 @@ func Generate(params Params, core *cpu.Core, mon *extrae.Monitor, bin *prog.Bina
 	return p, nil
 }
 
-// generateMatrix builds one level's matrix with per-row small allocations.
+// generateMatrix builds one level's matrix with per-row small simulated
+// allocations. On the host, every row's values and column indices are
+// capacity-capped sub-slices of one backing array each for the level.
 func (p *Problem) generateMatrix(g Geometry) (*Level, error) {
 	n := g.Rows()
 	lv := &Level{
@@ -364,6 +366,9 @@ func (p *Problem) generateMatrix(g Geometry) (*Level, error) {
 		ColsAddr:      make([]uint64, n),
 		ValsAddr:      make([]uint64, n),
 	}
+	allVals := make([]float64, n*MaxNonzerosPerRow)
+	allCols := make([]int32, n*MaxNonzerosPerRow)
+	next := 0 // first unused entry of allVals and allCols
 	for iz := 0; iz < g.NZ; iz++ {
 		for iy := 0; iy < g.NY; iy++ {
 			for ix := 0; ix < g.NX; ix++ {
@@ -378,8 +383,8 @@ func (p *Problem) generateMatrix(g Geometry) (*Level, error) {
 				}
 				lv.ValsAddr[row] = addr
 				lv.ColsAddr[row] = addr + MaxNonzerosPerRow*16 // after vals+global inds
-				vals := make([]float64, 0, MaxNonzerosPerRow)
-				cols := make([]int32, 0, MaxNonzerosPerRow)
+				vals := allVals[next : next : next+MaxNonzerosPerRow]
+				cols := allCols[next : next : next+MaxNonzerosPerRow]
 				g.forEachNeighbor(ix, iy, iz, func(col int) {
 					if col == row {
 						vals = append(vals, 26)
@@ -388,9 +393,10 @@ func (p *Problem) generateMatrix(g Geometry) (*Level, error) {
 					}
 					cols = append(cols, int32(col))
 				})
-				lv.Vals[row] = vals
-				lv.Cols[row] = cols
+				lv.Vals[row] = vals[:len(vals):len(vals)]
+				lv.Cols[row] = cols[:len(cols):len(cols)]
 				lv.NonzerosInRow[row] = uint8(len(cols))
+				next += len(cols)
 			}
 		}
 	}

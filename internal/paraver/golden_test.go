@@ -75,25 +75,22 @@ func prvCases() []prvCase {
 			},
 		},
 		{
-			// Two threads interleaved, with a same-timestamp collision (the
-			// merge orders by task then thread) and an allocation record.
+			// Two threads interleaved in merge order, with same-timestamp
+			// collisions (ordered by task then thread) and an allocation
+			// record.
 			name: "two_threads", nTasks: 1, nThreads: 2, dur: 120,
-			records: trace.Merge(
-				[]trace.Record{
-					{TimeNs: 0, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 5}}},
-					{TimeNs: 30, Task: 1, Thread: 1, Pairs: sample},
-					{TimeNs: 90, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 0}}},
-				},
-				[]trace.Record{
-					{TimeNs: 0, Task: 1, Thread: 2, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 5}}},
-					{TimeNs: 30, Task: 1, Thread: 2, Pairs: []trace.TypeValue{
-						{Type: trace.TypeAllocAddr, Value: 0x2adf00002000},
-						{Type: trace.TypeAllocSize, Value: 65536},
-						{Type: trace.TypeAllocStack, Value: 2},
-					}},
-					{TimeNs: 120, Task: 1, Thread: 2, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 0}}},
-				},
-			),
+			records: []trace.Record{
+				{TimeNs: 0, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 5}}},
+				{TimeNs: 0, Task: 1, Thread: 2, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 5}}},
+				{TimeNs: 30, Task: 1, Thread: 1, Pairs: sample},
+				{TimeNs: 30, Task: 1, Thread: 2, Pairs: []trace.TypeValue{
+					{Type: trace.TypeAllocAddr, Value: 0x2adf00002000},
+					{Type: trace.TypeAllocSize, Value: 65536},
+					{Type: trace.TypeAllocStack, Value: 2},
+				}},
+				{TimeNs: 90, Task: 1, Thread: 1, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 0}}},
+				{TimeNs: 120, Task: 1, Thread: 2, Pairs: []trace.TypeValue{{Type: trace.TypeRegion, Value: 0}}},
+			},
 		},
 	}
 }

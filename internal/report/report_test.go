@@ -12,6 +12,7 @@ import (
 	"repro/internal/objects"
 	"repro/internal/prog"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func TestCanvasPlotAndWeights(t *testing.T) {
@@ -76,21 +77,24 @@ func synthFigure(t *testing.T) *Figure1 {
 		in.C1[cpu.CtrCycles] = 20000
 		in.C1[cpu.CtrBranches] = 500
 		in.C1[cpu.CtrL1DMiss] = 300
+		var samples []trace.Event
 		for i := 0; i < 30; i++ {
 			sigma := (float64(i) + 0.5) / 30
-			s := folding.Sample{
+			s := trace.Event{
+				Kind:   trace.KindSample,
 				TimeNs: in.T0 + uint64(sigma*500),
 				Addr:   0x10000 + uint64(sigma*8000),
 				IP:     ipA,
 				Store:  i%3 == 0,
-				Source: memhier.SrcL2,
+				Source: uint8(memhier.SrcL2),
 			}
 			s.Counters[cpu.CtrInstructions] = uint64(sigma * 10000)
 			s.Counters[cpu.CtrCycles] = uint64(sigma * 20000)
 			s.Counters[cpu.CtrBranches] = uint64(sigma * 500)
 			s.Counters[cpu.CtrL1DMiss] = uint64(sigma * 300)
-			in.Samples = append(in.Samples, s)
+			samples = append(samples, s)
 		}
+		in.Events = [][]trace.Event{samples}
 		instances = append(instances, in)
 	}
 	f, err := folding.Fold(instances, folding.DefaultConfig())

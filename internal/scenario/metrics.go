@@ -333,7 +333,7 @@ func objectMetrics(objs []*objects.Object, placement *numa.Placement) []ObjectMe
 
 // sessionMetrics collects the single-thread (Session) view.
 func sessionMetrics(s *core.Session, folded *folding.Folded, levelNames []string) ThreadMetrics {
-	return threadMetrics(1, s.Core, s.Hier, s.Mon.Engine().Stats(), len(s.Mon.Records()), folded, levelNames)
+	return threadMetrics(1, s.Core, s.Hier, s.Mon.Engine().Stats(), s.Mon.Log().Len(), folded, levelNames)
 }
 
 // machineMetrics collects per-thread metrics, the shared-L3 aggregate
@@ -342,7 +342,7 @@ func machineMetrics(m *core.Machine, foldedOf func(thread int) *folding.Folded, 
 	var out []ThreadMetrics
 	for i, th := range m.Threads {
 		out = append(out, threadMetrics(i+1, th.Core, th.Hier, th.Mon.Engine().Stats(),
-			len(th.Mon.Records()), foldedOf(i+1), levelNames))
+			th.Mon.Log().Len(), foldedOf(i+1), levelNames))
 	}
 	var shared *LevelMetrics
 	if m.Sockets == 1 && m.Placement == nil {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/machspec"
+	"repro/internal/trace"
 )
 
 // TestKillAndResumeMatchesGolden is the end-to-end fault-tolerance
@@ -195,5 +196,88 @@ func TestNUMAHPCGCheckpointRejected(t *testing.T) {
 	_, err := Run(sc, Options{CheckpointEvery: 2, CheckpointSink: func(*checkpoint.Snapshot) error { return nil }})
 	if err == nil {
 		t.Fatal("NUMA HPCG accepted a checkpoint request")
+	}
+}
+
+// appendOrder rewrites a snapshot's logs into the order a monitor logged
+// them in when each drained sample was appended at the end of the log:
+// samples that fired before a region entry but drained after it follow
+// that entry. Each such sample's time is below the entry's, so a stable
+// sort by time restores the log.
+func appendOrder(t *testing.T, snap *checkpoint.Snapshot) {
+	t.Helper()
+	moved := 0
+	for i := range snap.Threads {
+		events := snap.Threads[i].Mon.Events
+		out := make([]trace.Event, 0, len(events))
+		var pending []trace.Event
+		for _, e := range events {
+			switch {
+			case e.Kind == trace.KindSample:
+				pending = append(pending, e)
+			case e.Kind == trace.KindRegion && e.Addr != 0 && len(pending) > 0 && pending[len(pending)-1].TimeNs < e.TimeNs:
+				out = append(out, e)
+				moved += len(pending)
+			default:
+				out = append(append(out, pending...), e)
+				pending = pending[:0]
+			}
+		}
+		snap.Threads[i].Mon.Events = append(out, pending...)
+	}
+	if moved == 0 {
+		t.Fatal("no sample moved: the snapshot's logs cannot show logging order")
+	}
+}
+
+// TestResumeAppendOrderSnapshotMatchesGolden resumes from snapshots whose
+// logs are in logging order, as snapshots were written before the log kept
+// itself in time order: the resumed metrics must equal the golden.
+func TestResumeAppendOrderSnapshotMatchesGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("goldens are amd64-generated; FMA fusion on %s perturbs float64 reductions", runtime.GOARCH)
+	}
+	for _, name := range []string{"hpcg_8_1t", "hpcg_8_mux_1t"} {
+		t.Run(name, func(t *testing.T) {
+			sc, ok := Get(name)
+			if !ok {
+				t.Fatalf("scenario %q not registered", name)
+			}
+			golden, err := os.ReadFile(goldenPath(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap *checkpoint.Snapshot
+			opts := Options{
+				CheckpointEvery: 2,
+				CheckpointSink:  func(s *checkpoint.Snapshot) error { snap = s; return nil },
+			}
+			if _, err := Run(sc, opts); err != nil {
+				t.Fatal(err)
+			}
+			if snap == nil {
+				t.Fatal("no snapshot emitted")
+			}
+			appendOrder(t, snap)
+			var buf bytes.Buffer
+			if err := checkpoint.Write(&buf, snap); err != nil {
+				t.Fatal(err)
+			}
+			old, err := checkpoint.Read(&buf)
+			if err != nil {
+				t.Fatalf("decoding snapshot: %v", err)
+			}
+			resumed, err := Run(sc, Options{Resume: old})
+			if err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+			got, err := resumed.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, golden) {
+				t.Errorf("resumed metrics differ from golden %s (%d vs %d bytes)", name, len(got), len(golden))
+			}
+		})
 	}
 }

@@ -354,6 +354,30 @@ func Quantile(xs []float64, q float64) float64 {
 	s := make([]float64, len(xs))
 	copy(s, xs)
 	sort.Float64s(s)
+	return sortedQuantile(s, q)
+}
+
+// Quantiles returns the qs-quantiles of xs, each equal to Quantile(xs, q),
+// sorting one copy of xs for all of them. xs is not modified.
+func Quantiles(xs []float64, qs ...float64) []float64 {
+	out := make([]float64, len(qs))
+	if len(xs) == 0 {
+		for i := range out {
+			out[i] = math.NaN()
+		}
+		return out
+	}
+	s := make([]float64, len(xs))
+	copy(s, xs)
+	sort.Float64s(s)
+	for i, q := range qs {
+		out[i] = sortedQuantile(s, q)
+	}
+	return out
+}
+
+// sortedQuantile is Quantile over an already sorted, non-empty s.
+func sortedQuantile(s []float64, q float64) float64 {
 	if q <= 0 {
 		return s[0]
 	}

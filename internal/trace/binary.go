@@ -19,7 +19,7 @@ import (
 //	nPairs uvarint | (type uvarint, value varint)*
 //
 // Delta-encoded timestamps make long monotone traces small; records must be
-// globally time-sorted (use Merge first).
+// globally time-sorted.
 const binaryMagic = "BSCT"
 
 const binaryVersion = 1
@@ -52,7 +52,7 @@ func WriteBinary(w io.Writer, nTasks, nThreads int, durationNs uint64, records [
 	var prev uint64
 	for i, r := range records {
 		if r.TimeNs < prev {
-			return fmt.Errorf("trace: record %d out of order (%d < %d); Merge before WriteBinary", i, r.TimeNs, prev)
+			return fmt.Errorf("trace: record %d out of order (%d < %d)", i, r.TimeNs, prev)
 		}
 		if err := writeUvarint(r.TimeNs - prev); err != nil {
 			return err

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -81,8 +80,8 @@ func (r *Record) Has(typ uint32) bool {
 }
 
 // Writer emits records in PRV text form. Records must be written in
-// non-decreasing time order per (task, thread); the Merger handles global
-// ordering across threads.
+// non-decreasing time order per (task, thread); Merge orders several
+// threads' logs into one stream.
 type Writer struct {
 	w       *bufio.Writer
 	line    []byte // the record being encoded, reused across records
@@ -273,116 +272,4 @@ func ReadAll(tr *Reader) ([]Record, error) {
 		}
 		out = append(out, rec)
 	}
-}
-
-// recordLess orders records by (time, task, thread) — the merge key.
-func recordLess(a, b *Record) bool {
-	if a.TimeNs != b.TimeNs {
-		return a.TimeNs < b.TimeNs
-	}
-	if a.Task != b.Task {
-		return a.Task < b.Task
-	}
-	return a.Thread < b.Thread
-}
-
-// Merge combines several record streams into one chronologically sorted
-// stream (stable across equal timestamps by input order, then task/thread).
-// Each input stream is first stably sorted on its own (monitor logs are
-// mostly chronological but buffered PEBS drains append sample records out
-// of order; already-sorted streams are detected and left alone), then the
-// k sorted streams are combined with a k-way heap merge — O(n log k)
-// instead of the O(n log n) of re-sorting the concatenation, which is what
-// this replaced. Equal keys resolve to the lowest input stream first, and
-// per-stream order is preserved, so the output is byte-identical to the
-// old concatenate-and-stable-sort. It materializes the inputs; traces here
-// are analysis-sized, not production-sized.
-func Merge(streams ...[]Record) []Record {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	// Copy each stream into one backing buffer and sort the segments that
-	// need it (the inputs are the monitors' live logs and must not move).
-	buf := make([]Record, 0, total)
-	segs := make([][]Record, 0, len(streams))
-	for _, s := range streams {
-		if len(s) == 0 {
-			continue
-		}
-		start := len(buf)
-		buf = append(buf, s...)
-		seg := buf[start : start+len(s)]
-		sorted := true
-		for i := 1; i < len(seg); i++ {
-			if recordLess(&seg[i], &seg[i-1]) {
-				sorted = false
-				break
-			}
-		}
-		if !sorted {
-			sort.SliceStable(seg, func(i, j int) bool { return recordLess(&seg[i], &seg[j]) })
-		}
-		segs = append(segs, seg)
-	}
-	if len(segs) == 1 {
-		return segs[0]
-	}
-	// K-way merge via a binary heap of stream heads, keyed by (record key,
-	// stream index) so ties pop from the lowest stream — concatenation
-	// order, matching the old stable sort.
-	heap := make([]int, 0, len(segs)) // heap of segment indices
-	less := func(a, b int) bool {
-		ra, rb := &segs[a][0], &segs[b][0]
-		if recordLess(ra, rb) {
-			return true
-		}
-		if recordLess(rb, ra) {
-			return false
-		}
-		return a < b
-	}
-	up := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(heap[i], heap[p]) {
-				break
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	down := func(i int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			m := i
-			if l < len(heap) && less(heap[l], heap[m]) {
-				m = l
-			}
-			if r < len(heap) && less(heap[r], heap[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			heap[i], heap[m] = heap[m], heap[i]
-			i = m
-		}
-	}
-	for i := range segs {
-		heap = append(heap, i)
-		up(len(heap) - 1)
-	}
-	out := make([]Record, 0, total)
-	for len(heap) > 0 {
-		s := heap[0]
-		out = append(out, segs[s][0])
-		segs[s] = segs[s][1:]
-		if len(segs[s]) == 0 {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
-		}
-		down(0)
-	}
-	return out
 }

@@ -141,33 +141,28 @@ func TestRecordGetHas(t *testing.T) {
 }
 
 func TestMergeSortsStably(t *testing.T) {
-	a := []Record{
-		{TimeNs: 10, Task: 1, Thread: 1, Pairs: []TypeValue{{1, 1}}},
-		{TimeNs: 30, Task: 1, Thread: 1, Pairs: []TypeValue{{1, 2}}},
-	}
-	b := []Record{
-		{TimeNs: 5, Task: 1, Thread: 2, Pairs: []TypeValue{{1, 3}}},
-		{TimeNs: 10, Task: 1, Thread: 2, Pairs: []TypeValue{{1, 4}}},
-		{TimeNs: 40, Task: 1, Thread: 2, Pairs: []TypeValue{{1, 5}}},
-	}
-	m := Merge(a, b)
+	var a, b Log
+	a.Add(Event{TimeNs: 10, Kind: KindFree, Addr: 1}, Event{TimeNs: 30, Kind: KindFree, Addr: 2})
+	b.Add(Event{TimeNs: 5, Kind: KindFree, Addr: 3}, Event{TimeNs: 10, Kind: KindFree, Addr: 4},
+		Event{TimeNs: 40, Kind: KindFree, Addr: 5})
+	m := Merge(&a, &b)
 	if len(m) != 5 {
 		t.Fatalf("merged %d records", len(m))
 	}
 	times := []uint64{5, 10, 10, 30, 40}
 	for i, r := range m {
-		if r.TimeNs != times[i] {
-			t.Errorf("merge order wrong at %d: %d", i, r.TimeNs)
+		if r.Event.TimeNs != times[i] {
+			t.Errorf("merge order wrong at %d: %d", i, r.Event.TimeNs)
 		}
 	}
-	// Equal timestamps ordered by thread.
-	if m[1].Thread != 1 || m[2].Thread != 2 {
+	// Equal timestamps ordered by thread (the lower log first).
+	if m[1].Log != 0 || m[2].Log != 1 || m[1].Event.Addr != 1 || m[2].Event.Addr != 4 {
 		t.Error("tie-break by thread failed")
 	}
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	recs := Merge(sampleRecords())
+	recs := sampleRecords()
 	var buf bytes.Buffer
 	if err := WriteBinary(&buf, 1, 2, 300, recs); err != nil {
 		t.Fatal(err)
@@ -203,7 +198,7 @@ func TestBinaryBadInput(t *testing.T) {
 	}
 	// Truncated body.
 	var buf bytes.Buffer
-	WriteBinary(&buf, 1, 1, 0, Merge(sampleRecords()))
+	WriteBinary(&buf, 1, 1, 0, sampleRecords())
 	trunc := buf.Bytes()[:buf.Len()-3]
 	if _, _, _, _, err := ReadBinary(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace accepted")
