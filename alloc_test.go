@@ -20,7 +20,7 @@ const figureAllocBudget = 10_000
 func TestFigureAllocBudget(t *testing.T) {
 	params := hpcg.Params{NX: 16, NY: 16, NZ: 16, MGLevels: 2, MaxIters: 3}
 	allocs := testing.AllocsPerRun(1, func() {
-		run, err := core.RunHPCG(benchConfig(), params)
+		run, err := core.RunHPCGCheckpointed(nil, benchConfig(), params, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

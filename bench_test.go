@@ -85,7 +85,7 @@ func benchParams(b *testing.B) hpcg.Params {
 
 func runHPCG(b *testing.B, cfg core.Config, params hpcg.Params) *core.HPCGRun {
 	b.Helper()
-	run, err := core.RunHPCG(cfg, params)
+	run, err := core.RunHPCGCheckpointed(nil, cfg, params, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -229,12 +229,12 @@ func BenchmarkMultiplexing(b *testing.B) {
 		cfg := core.DefaultConfig()
 		cfg.Monitor.MuxQuantumNs = 20_000
 		cfg.Monitor.PEBS.Period = 300
-		res, err := core.RunWorkload(cfg, workloads.NewStream(1<<15), 10)
+		res, err := core.RunWorkload(nil, cfg, workloads.NewStream(1<<15), 10, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		loads, stores = 0, 0
-		for _, mp := range res.Folded.Mem {
+		for _, mp := range res.Threads[0].Folded.Mem {
 			if mp.Store {
 				stores++
 			} else {
@@ -303,7 +303,7 @@ func BenchmarkNUMAStreamPlacement(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := benchConfig()
 				cfg.NUMA = numa.Config{Sockets: 2, Policy: policy}
-				res, err := core.RunWorkloadSequential(nil, cfg, workloads.NewStream(n), iters, 4)
+				res, err := core.RunWorkload(nil, cfg, workloads.NewStream(n), iters, 4, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -436,12 +436,12 @@ func BenchmarkAblationMuxQuantum(b *testing.B) {
 				cfg := core.DefaultConfig()
 				cfg.Monitor.MuxQuantumNs = q.ns
 				cfg.Monitor.PEBS.Period = 300
-				res, err := core.RunWorkload(cfg, workloads.NewStream(1<<15), 10)
+				res, err := core.RunWorkload(nil, cfg, workloads.NewStream(1<<15), 10, 1, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				var stores, total int
-				for _, mp := range res.Folded.Mem {
+				for _, mp := range res.Threads[0].Folded.Mem {
 					total++
 					if mp.Store {
 						stores++

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -27,7 +28,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var w workloads.Workload
+	var w workloads.ResumableWorkload
 	switch *name {
 	case "stream":
 		w = workloads.NewStream(*size)
@@ -55,21 +56,22 @@ func main() {
 	if *muxNs == 0 {
 		cfg.Monitor.PEBS.Events = pebs.SampleLoads | pebs.SampleStores
 	}
-	res, err := core.RunWorkload(cfg, w, *iters)
+	res, err := core.RunWorkload(context.Background(), cfg, w, *iters, 1, nil)
 	if err != nil {
 		fatal(err)
 	}
-	s := res.Session
+	m := res.Machine
+	mon := m.Primary().Mon
 	fmt.Printf("%s: %d iterations, %d trace records, %d samples recorded, %.2f%% resolved\n",
-		w.Name(), *iters, s.Mon.Log().Len(),
-		s.Mon.Engine().Stats().Recorded, 100*s.Mon.Registry().ResolutionRate())
+		w.Name(), *iters, mon.Log().Len(),
+		mon.Engine().Stats().Recorded, 100*mon.Registry().ResolutionRate())
 
 	// PRV and PCF are one artifact: write the pair atomically (temp files +
 	// rename) so a crash or full disk never leaves a trace without its
 	// labels — or truncated halves of either.
 	if err := atomicio.WriteFiles(
 		[]string{*out + ".prv", *out + ".pcf"},
-		func(ws []io.Writer) error { return s.WriteTrace(ws[0], ws[1]) },
+		func(ws []io.Writer) error { return m.WriteTrace(ws[0], ws[1]) },
 	); err != nil {
 		fatal(err)
 	}

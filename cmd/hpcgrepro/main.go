@@ -98,9 +98,9 @@ func main() {
 	defer stopSignals()
 
 	if *threads > 1 || cfg.NUMA.Sockets > 0 {
-		// NUMA runs always go through the Machine (the Session has no
-		// placement layer); with one thread the parallel solve is the
-		// sequential solve on worker 0.
+		// NUMA runs always take the per-thread report, which carries the
+		// per-socket traffic section; with one thread the parallel solve
+		// is the sequential solve on worker 0.
 		runParallel(ctx, cfg, params, *threads, *outDir)
 		return
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -27,7 +28,7 @@ func main() {
 
 	fmt.Printf("running HPCG %dx%dx%d, %d MG levels, %d CG iterations...\n",
 		params.NX, params.NY, params.NZ, params.MGLevels, params.MaxIters)
-	run, err := core.RunHPCG(cfg, params)
+	run, err := core.RunHPCGCheckpointed(context.Background(), cfg, params, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

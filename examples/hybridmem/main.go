@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,7 +22,7 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Monitor.PEBS.Period = 300 // denser samples give a finer reuse profile
 	params := hpcg.Params{NX: 16, NY: 16, NZ: 16, MGLevels: 2, MaxIters: 4}
-	run, err := core.RunHPCG(cfg, params)
+	run, err := core.RunHPCGCheckpointed(context.Background(), cfg, params, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,8 +24,8 @@ import (
 
 // addrSpan returns the [min, max] sampled address of the run's folded
 // region, filtered by access kind.
-func addrSpan(res *core.RunWorkloadResult, stores bool) (lo, hi uint64, n int) {
-	for _, mp := range res.Folded.Mem {
+func addrSpan(res *core.MachineWorkloadResult, stores bool) (lo, hi uint64, n int) {
+	for _, mp := range res.Threads[0].Folded.Mem {
 		if mp.Store != stores {
 			continue
 		}
@@ -39,7 +40,7 @@ func addrSpan(res *core.RunWorkloadResult, stores bool) (lo, hi uint64, n int) {
 	return lo, hi, n
 }
 
-func runStream(aslrSeed int64, events pebs.EventMask, muxNs uint64) *core.RunWorkloadResult {
+func runStream(aslrSeed int64, events pebs.EventMask, muxNs uint64) *core.MachineWorkloadResult {
 	cfg := core.DefaultConfig()
 	cfg.ASLRSeed = aslrSeed
 	cfg.Monitor.MuxQuantumNs = muxNs
@@ -47,7 +48,7 @@ func runStream(aslrSeed int64, events pebs.EventMask, muxNs uint64) *core.RunWor
 		cfg.Monitor.PEBS.Events = events
 	}
 	cfg.Monitor.PEBS.Period = 300
-	res, err := core.RunWorkload(cfg, workloads.NewStream(1<<16), 12)
+	res, err := core.RunWorkload(context.Background(), cfg, workloads.NewStream(1<<16), 12, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

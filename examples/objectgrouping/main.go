@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,13 +29,13 @@ func main() {
 	// Run 1 — the preliminary analysis: no grouping instrumentation.
 	ungroupedParams := params
 	ungroupedParams.DisableGrouping = true
-	ungrouped, err := core.RunHPCG(cfg, ungroupedParams)
+	ungrouped, err := core.RunHPCGCheckpointed(context.Background(), cfg, ungroupedParams, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// Run 2 — the paper's fix: the two allocation groups.
-	grouped, err := core.RunHPCG(cfg, params)
+	grouped, err := core.RunHPCGCheckpointed(context.Background(), cfg, params, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

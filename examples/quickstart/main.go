@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,12 +25,13 @@ func main() {
 	//    than L3, so the triad streams from DRAM).
 	w := workloads.NewStream(1 << 18)
 
-	// 3. Run it under monitoring and fold the iteration region.
-	res, err := core.RunWorkload(cfg, w, 20)
+	// 3. Run it under monitoring on one simulated thread and fold the
+	//    iteration region.
+	res, err := core.RunWorkload(context.Background(), cfg, w, 20, 1, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	f := res.Folded
+	f := res.Threads[0].Folded
 
 	fmt.Printf("folded %d instances of %q (mean duration %.3f ms)\n",
 		f.InstancesUsed, w.Name(), f.MeanDurationNs/1e6)

@@ -35,7 +35,7 @@ func captureSnapshot(t testing.TB) *checkpoint.Snapshot {
 		Tag:   core.CheckpointTag("codec", 1, cfg),
 		Sink:  func(s *checkpoint.Snapshot) error { last = s; return nil },
 	}
-	if _, err := core.RunWorkloadCheckpointed(nil, cfg, workloads.NewRandomAccess(1<<12, 1<<10, 3), 6, ck); err != nil {
+	if _, err := core.RunWorkload(nil, cfg, workloads.NewRandomAccess(1<<12, 1<<10, 3), 6, 1, ck); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if last == nil {

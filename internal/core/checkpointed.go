@@ -44,9 +44,8 @@ type Checkpointer struct {
 	Demand func() bool
 	// Progress, when non-nil, receives instance/cycle/cache-level counters
 	// at every instance boundary (atomic stores, no allocation — see
-	// ObserveProgress). Unlike the fields above it does not constrain the
-	// run: a progress-only Checkpointer works with any workload and is
-	// silently dropped on paths without instance boundaries.
+	// ObserveProgress). RunHPCGParallel, which has no instance boundaries
+	// of its own, takes no Checkpointer.
 	Progress *telemetry.Progress
 }
 
@@ -62,59 +61,33 @@ func CheckpointTag(name string, threads int, cfg Config) string {
 }
 
 // demanded reports whether a demand trigger is armed and has fired; safe on
-// a nil receiver so the run loops can poll unconditionally.
+// a nil receiver so the run loop can poll unconditionally.
 func (ck *Checkpointer) demanded() bool {
 	return ck != nil && ck.Demand != nil && ck.Demand()
 }
 
-func (ck *Checkpointer) emit(snap *checkpoint.Snapshot) error {
+// emit snapshots the machine and the schedule at cursor cur and hands the
+// snapshot to the sink.
+func (ck *Checkpointer) emit(m *Machine, s schedule, cur checkpoint.Cursor) error {
+	snap, err := m.Snapshot(cur, ck.Tag)
+	if err != nil {
+		return err
+	}
+	s.save(snap)
 	if err := faultinject.Hit(faultinject.PointCheckpoint); err != nil {
-		return fmt.Errorf("core: checkpoint at (thread %d, iter %d): %w", snap.Cursor.Thread, snap.Cursor.Iter, err)
+		return fmt.Errorf("core: checkpoint at (thread %d, iter %d): %w", cur.Thread, cur.Iter, err)
 	}
 	if ck.Sink == nil {
 		return nil
 	}
 	if err := ck.Sink(snap); err != nil {
-		return fmt.Errorf("core: checkpoint sink at (thread %d, iter %d): %w", snap.Cursor.Thread, snap.Cursor.Iter, err)
+		return fmt.Errorf("core: checkpoint sink at (thread %d, iter %d): %w", cur.Thread, cur.Iter, err)
 	}
 	return nil
 }
 
-// Snapshot captures the session's full mutable state at an instance
-// boundary.
-func (s *Session) Snapshot(cur checkpoint.Cursor, tag string) (*checkpoint.Snapshot, error) {
-	ms, err := s.Mon.State()
-	if err != nil {
-		return nil, err
-	}
-	return &checkpoint.Snapshot{
-		Tag:      tag,
-		Cursor:   cur,
-		Threads:  []checkpoint.ThreadState{{Mon: ms, Hier: s.Hier.State()}},
-		Registry: s.Mon.Registry().State(),
-	}, nil
-}
-
-// RestoreSnapshot overwrites the mutable state of a session that has been
-// rebuilt by an identical setup (same config, same workload Setup replay).
-func (s *Session) RestoreSnapshot(snap *checkpoint.Snapshot, tag string) error {
-	if snap.Tag != tag {
-		return fmt.Errorf("core: snapshot tag %q does not match run %q", snap.Tag, tag)
-	}
-	if len(snap.Threads) != 1 || len(snap.L3s) != 0 || snap.Placement != nil {
-		return fmt.Errorf("core: snapshot describes a machine run, not a session")
-	}
-	if err := s.Mon.RestoreState(snap.Threads[0].Mon); err != nil {
-		return err
-	}
-	if err := s.Hier.RestoreState(snap.Threads[0].Hier); err != nil {
-		return err
-	}
-	return s.Mon.Registry().RestoreState(snap.Registry)
-}
-
 // Snapshot captures the machine's full mutable state at an instance
-// boundary of the sequential schedule.
+// boundary.
 func (m *Machine) Snapshot(cur checkpoint.Cursor, tag string) (*checkpoint.Snapshot, error) {
 	snap := &checkpoint.Snapshot{Tag: tag, Cursor: cur}
 	for _, th := range m.Threads {
@@ -171,210 +144,165 @@ func (m *Machine) RestoreSnapshot(snap *checkpoint.Snapshot, tag string) error {
 	return m.Primary().Mon.Registry().RestoreState(snap.Registry)
 }
 
-// RunWorkloadCheckpointed is RunWorkload driven one instance at a time on a
-// Session, with cancellation polls, the instance fault-injection point and
-// optional periodic snapshots between instances. With a nil context and
-// checkpointer the executed instruction stream is identical to RunWorkload.
-// On cancellation it returns the partial result alongside a *RunError.
-func RunWorkloadCheckpointed(ctx context.Context, cfg Config, w workloads.Workload, iters int, ck *Checkpointer) (*RunWorkloadResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rw, resumable := w.(workloads.ResumableWorkload)
-	if ck.checkpoints() && !resumable {
-		return nil, fmt.Errorf("core: workload %q does not support checkpointing (no RunPartitionRange)", w.Name())
-	}
-	s, err := NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	wctx := s.Ctx()
-	if err := w.Setup(wctx); err != nil {
-		return nil, err
-	}
-	s.Mon.Start()
-
-	start := 0
-	if ck != nil && ck.Resume != nil {
-		if ck.Resume.Cursor.Thread != 0 {
-			return nil, fmt.Errorf("core: snapshot cursor thread %d on a single-thread session", ck.Resume.Cursor.Thread)
-		}
-		if err := s.RestoreSnapshot(ck.Resume, ck.Tag); err != nil {
-			return nil, err
-		}
-		start = ck.Resume.Cursor.Iter
-	}
-
-	var runErr *RunError
-	if resumable {
-		n := rw.Elements()
-		ck.observeSession(s, start)
-		for it := start; it < iters; it++ {
-			cur := checkpoint.Cursor{Thread: 0, Iter: it}
-			if err := ctx.Err(); err != nil {
-				runErr = &RunError{Thread: 1, Cursor: cur, Cause: err}
-				break
-			}
-			if err := faultinject.Hit(faultinject.PointInstance); err != nil {
-				runErr = &RunError{Thread: 1, Cursor: cur, Cause: err}
-				break
-			}
-			if ck.demanded() {
-				snap, err := s.Snapshot(cur, ck.Tag)
-				if err != nil {
-					return nil, err
-				}
-				if err := ck.emit(snap); err != nil {
-					return nil, err
-				}
-				runErr = &RunError{Thread: 1, Cursor: cur, Cause: ErrCheckpointDemanded}
-				break
-			}
-			if err := rw.RunPartitionRange(wctx, it, it+1, 0, n); err != nil {
-				return nil, err
-			}
-			done := it + 1
-			ck.observeSession(s, done)
-			if ck != nil && ck.Every > 0 && done%ck.Every == 0 && done < iters {
-				snap, err := s.Snapshot(checkpoint.Cursor{Iter: done}, ck.Tag)
-				if err != nil {
-					return nil, err
-				}
-				if err := ck.emit(snap); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		if err := ctx.Err(); err != nil {
-			runErr = &RunError{Thread: 1, Cause: err}
-		} else if err := w.Run(wctx, iters); err != nil {
-			return nil, err
-		} else {
-			// No instance boundaries inside a non-resumable Run: progress
-			// jumps from zero to done.
-			ck.observeSession(s, iters)
-		}
-	}
-	s.Mon.Stop()
-	if runErr != nil {
-		res := &RunWorkloadResult{Session: s, Partial: true}
-		if folded, err := s.Fold(w.Region()); err == nil {
-			res.Folded = folded
-		}
-		return res, runErr
-	}
-	folded, err := s.Fold(w.Region())
-	if err != nil {
-		return nil, err
-	}
-	return &RunWorkloadResult{Session: s, Folded: folded}, nil
+// schedule is a deterministic sequence of instances that Machine.run drives
+// one at a time.
+type schedule interface {
+	// cursor locates the next instance.
+	cursor() checkpoint.Cursor
+	// done counts the instances completed since the schedule's start.
+	done() int
+	// finished reports whether every instance has run.
+	finished() bool
+	// step runs the next instance.
+	step() error
+	// save and restore carry the schedule's state beyond the cursor.
+	save(snap *checkpoint.Snapshot)
+	restore(snap *checkpoint.Snapshot) error
 }
 
-// RunHPCGCheckpointed is RunHPCG driven one CG iteration at a time, with
-// cancellation polls, the instance fault-injection point and optional
-// periodic snapshots between iterations. With a nil context and
-// checkpointer the executed instruction stream is identical to RunHPCG.
-// On cancellation it returns the partial result alongside a *RunError.
-func RunHPCGCheckpointed(ctx context.Context, cfg Config, params hpcg.Params, ck *Checkpointer) (*HPCGRun, error) {
+// run drives s from its cursor to the end, or from ck.Resume's cursor when
+// set. Between instances — the only program points where every monitor's
+// sampling state is quiescent — it polls ctx, hits the instance
+// fault-injection point, honours a demanded checkpoint, publishes progress
+// and takes the periodic snapshots. A clean stop there returns a
+// *RunError (resumable); any other error is a hard failure.
+func (m *Machine) run(ctx context.Context, s schedule, ck *Checkpointer) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s, err := NewSession(cfg)
+	if ck != nil && ck.Resume != nil {
+		if err := m.RestoreSnapshot(ck.Resume, ck.Tag); err != nil {
+			return err
+		}
+		if err := s.restore(ck.Resume); err != nil {
+			return err
+		}
+	}
+	ck.observe(m, s.done())
+	for !s.finished() {
+		cur := s.cursor()
+		stop := ctx.Err()
+		if stop == nil {
+			stop = faultinject.Hit(faultinject.PointInstance)
+		}
+		if stop == nil && ck.demanded() {
+			if err := ck.emit(m, s, cur); err != nil {
+				return err
+			}
+			stop = ErrCheckpointDemanded
+		}
+		if stop != nil {
+			return &RunError{Thread: cur.Thread + 1, Cursor: cur, Cause: stop}
+		}
+		if err := s.step(); err != nil {
+			return err
+		}
+		ck.observe(m, s.done())
+		if ck != nil && ck.Every > 0 && s.done()%ck.Every == 0 && !s.finished() {
+			if err := ck.emit(m, s, s.cursor()); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// workloadSchedule is the thread-major workload schedule: thread t runs
+// iterations 0..iters-1 over its static element block, then thread t+1
+// starts.
+type workloadSchedule struct {
+	m     *Machine
+	w     workloads.ResumableWorkload
+	iters int
+	cur   checkpoint.Cursor
+	ctx   workloads.Ctx // reused by every step, so a step allocates nothing
+}
+
+func (s *workloadSchedule) cursor() checkpoint.Cursor { return s.cur }
+func (s *workloadSchedule) done() int                 { return s.cur.Thread*s.iters + s.cur.Iter }
+func (s *workloadSchedule) finished() bool            { return s.done() >= len(s.m.Threads)*s.iters }
+
+func (s *workloadSchedule) step() error {
+	t, it := s.cur.Thread, s.cur.Iter
+	n, k := s.w.Elements(), len(s.m.Threads)
+	th := s.m.Threads[t]
+	s.ctx = workloads.Ctx{Core: th.Core, Mon: th.Mon, Bin: s.m.Bin}
+	if err := s.w.RunPartitionRange(&s.ctx, it, it+1, t*n/k, (t+1)*n/k); err != nil {
+		return fmt.Errorf("core: thread %d: %w", t+1, err)
+	}
+	s.cur.Iter++
+	if s.cur.Iter == s.iters {
+		s.cur = checkpoint.Cursor{Thread: t + 1}
+	}
+	return nil
+}
+
+func (s *workloadSchedule) save(*checkpoint.Snapshot) {}
+
+func (s *workloadSchedule) restore(snap *checkpoint.Snapshot) error {
+	c := snap.Cursor
+	if c.Thread < 0 || c.Thread >= len(s.m.Threads) || c.Iter < 0 || c.Iter >= s.iters {
+		return fmt.Errorf("core: snapshot cursor (thread %d, iter %d) outside the %d-thread, %d-iteration schedule",
+			c.Thread, c.Iter, len(s.m.Threads), s.iters)
+	}
+	s.cur = c
+	return nil
+}
+
+// cgSchedule is the sequential CG solve, one iteration per instance.
+type cgSchedule struct {
+	cg   *hpcg.CGRun
+	last bool
+}
+
+func (s *cgSchedule) cursor() checkpoint.Cursor { return checkpoint.Cursor{Iter: s.done()} }
+func (s *cgSchedule) done() int                 { return s.cg.Result().Iterations }
+func (s *cgSchedule) finished() bool            { return s.last }
+
+func (s *cgSchedule) step() (err error) {
+	s.last, err = s.cg.Step()
+	return err
+}
+
+func (s *cgSchedule) save(snap *checkpoint.Snapshot) {
+	st := s.cg.State()
+	snap.CG = &st
+}
+
+func (s *cgSchedule) restore(snap *checkpoint.Snapshot) error {
+	if snap.CG == nil {
+		return fmt.Errorf("core: snapshot carries no CG solver state")
+	}
+	s.last = snap.CG.Done
+	return s.cg.RestoreState(*snap.CG)
+}
+
+// RunHPCGCheckpointed executes the paper's evaluation end to end on a
+// Session: generate the problem (setup phase, unmonitored but with
+// allocation tracking), run CG under monitoring one iteration per
+// instance, fold the iteration region and label the phases. ck (nil for
+// none) snapshots, resumes and observes the solve at iteration
+// boundaries. A solve stopped there returns its partial result alongside
+// a *RunError.
+func RunHPCGCheckpointed(ctx context.Context, cfg Config, params hpcg.Params, ck *Checkpointer) (*HPCGRun, error) {
+	m, problem, err := newHPCG(cfg, params, 1)
 	if err != nil {
 		return nil, err
 	}
-	if err := hpcg.SetupBinary(s.Bin); err != nil {
-		return nil, err
-	}
-	problem, err := hpcg.Generate(params, s.Core, s.Mon, s.Bin)
-	if err != nil {
-		return nil, err
-	}
-	s.Mon.Start()
+	m.StartAll()
 	cgr, err := problem.NewCGRun()
 	if err != nil {
 		return nil, err
 	}
-	if ck != nil && ck.Resume != nil {
-		if ck.Resume.CG == nil {
-			return nil, fmt.Errorf("core: snapshot carries no CG solver state")
-		}
-		if err := s.RestoreSnapshot(ck.Resume, ck.Tag); err != nil {
-			return nil, err
-		}
-		if err := cgr.RestoreState(*ck.Resume.CG); err != nil {
-			return nil, err
-		}
+	err = m.run(ctx, &cgSchedule{cg: cgr}, ck)
+	folded, ferr := m.foldAll(problem.RegionIteration, err)
+	if ferr != nil {
+		return nil, ferr
 	}
-
-	var runErr *RunError
-	ck.observeSession(s, cgr.Result().Iterations)
-	for {
-		cur := checkpoint.Cursor{Iter: cgr.Result().Iterations}
-		if err := ctx.Err(); err != nil {
-			runErr = &RunError{Thread: 1, Cursor: cur, Cause: err}
-			break
-		}
-		if err := faultinject.Hit(faultinject.PointInstance); err != nil {
-			runErr = &RunError{Thread: 1, Cursor: cur, Cause: err}
-			break
-		}
-		if ck.demanded() {
-			snap, err := s.Snapshot(cur, ck.Tag)
-			if err != nil {
-				return nil, err
-			}
-			cgs := cgr.State()
-			snap.CG = &cgs
-			if err := ck.emit(snap); err != nil {
-				return nil, err
-			}
-			runErr = &RunError{Thread: 1, Cursor: cur, Cause: ErrCheckpointDemanded}
-			break
-		}
-		done, err := cgr.Step()
-		if err != nil {
-			return nil, err
-		}
-		ck.observeSession(s, cgr.Result().Iterations)
-		if done {
-			break
-		}
-		if k := cgr.Result().Iterations; ck != nil && ck.Every > 0 && k%ck.Every == 0 {
-			snap, err := s.Snapshot(checkpoint.Cursor{Iter: k}, ck.Tag)
-			if err != nil {
-				return nil, err
-			}
-			cgs := cgr.State()
-			snap.CG = &cgs
-			if err := ck.emit(snap); err != nil {
-				return nil, err
-			}
-		}
+	run := &HPCGRun{Session: &Session{m, m.Primary()}, Problem: problem, CG: cgr.Result(), Partial: err != nil}
+	if len(folded) > 0 {
+		run.Folded = folded[0].Folded
+		run.Paper = LabelPaperPhases(run.Folded, m.FuncOf)
 	}
-	s.Mon.Stop()
-	if runErr != nil {
-		run := &HPCGRun{Session: s, Problem: problem, CG: cgr.Result(), Partial: true}
-		if folded, err := s.Fold(problem.RegionIteration); err == nil {
-			run.Folded = folded
-			run.Paper = LabelPaperPhases(folded, s.FuncOf)
-		}
-		return run, runErr
-	}
-	folded, err := s.Fold(problem.RegionIteration)
-	if err != nil {
-		return nil, err
-	}
-	run := &HPCGRun{Session: s, Problem: problem, CG: cgr.Result(), Folded: folded}
-	run.Paper = LabelPaperPhases(folded, s.FuncOf)
-	return run, nil
-}
-
-// RunWorkloadSequentialCheckpointed is RunWorkloadSequential with periodic
-// snapshots between instances of the deterministic thread-major schedule
-// (thread 1 runs all its iterations, then thread 2, and so on). Resuming a
-// snapshot reproduces the uninterrupted run's metrics and trace exactly.
-func RunWorkloadSequentialCheckpointed(ctx context.Context, cfg Config, w workloads.PartitionedWorkload, iters, threads int, ck *Checkpointer) (*MachineWorkloadResult, error) {
-	return runWorkloadPartitioned(ctx, cfg, w, iters, threads, false, ck)
+	return run, err
 }

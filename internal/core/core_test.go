@@ -27,6 +27,50 @@ func testHPCGParams() hpcg.Params {
 	return hpcg.Params{NX: 16, NY: 16, NZ: 16, MGLevels: 2, MaxIters: 4}
 }
 
+// runHPCG runs the single-thread HPCG reproduction to completion.
+func runHPCG(t testing.TB, cfg Config, params hpcg.Params) *HPCGRun {
+	t.Helper()
+	run, err := RunHPCGCheckpointed(nil, cfg, params, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// mustRunWorkload runs w to completion on a threads-thread machine.
+func mustRunWorkload(t testing.TB, cfg Config, w workloads.ResumableWorkload, iters, threads int) *MachineWorkloadResult {
+	t.Helper()
+	res, err := RunWorkload(nil, cfg, w, iters, threads, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// sessionRun sets up w on a fresh Session and runs all its iterations in
+// one w.Run call, outside the instance-boundary loop, then folds it.
+func sessionRun(t testing.TB, cfg Config, w workloads.Workload, iters int) (*Session, *folding.Folded) {
+	t.Helper()
+	s, err := NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := &workloads.Ctx{Core: s.Core, Mon: s.Mon, Bin: s.Bin}
+	if err := w.Setup(ctx); err != nil {
+		t.Fatal(err)
+	}
+	s.Mon.Start()
+	if err := w.Run(ctx, iters); err != nil {
+		t.Fatal(err)
+	}
+	s.Mon.Stop()
+	folded, err := s.Fold(w.Region())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, folded
+}
+
 func TestNewSessionValidation(t *testing.T) {
 	bad := DefaultConfig()
 	bad.Cache.DRAMLatency = 0
@@ -78,17 +122,14 @@ func TestASLRChangesBase(t *testing.T) {
 
 func TestRunWorkloadStream(t *testing.T) {
 	w := workloads.NewStream(1 << 15)
-	res, err := RunWorkload(testConfig(), w, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRunWorkload(t, testConfig(), w, 30, 1)
 	// Math is right.
 	for i := 0; i < w.N; i += 1000 {
 		if w.Value(i) != w.Expected(i) {
 			t.Fatalf("triad wrong at %d: %g != %g", i, w.Value(i), w.Expected(i))
 		}
 	}
-	f := res.Folded
+	f := res.Threads[0].Folded
 	if f.InstancesUsed < 25 {
 		t.Errorf("folded instances = %d", f.InstancesUsed)
 	}
@@ -114,10 +155,7 @@ func TestRunWorkloadStream(t *testing.T) {
 }
 
 func TestRunHPCGEndToEnd(t *testing.T) {
-	run, err := RunHPCG(testConfig(), testHPCGParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := runHPCG(t, testConfig(), testHPCGParams())
 	if run.CG.Iterations != 4 {
 		t.Errorf("iterations = %d", run.CG.Iterations)
 	}
@@ -173,10 +211,7 @@ func labels(run *HPCGRun) []string {
 func TestHPCGBandwidthShape(t *testing.T) {
 	// The paper's in-text numbers: SpMV (B) bandwidth exceeds the SYMGS
 	// sweeps (a1, a2): 6427 vs 4197/4315 MB/s, a ratio of ~1.5.
-	run, err := RunHPCG(testConfig(), testHPCGParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := runHPCG(t, testConfig(), testHPCGParams())
 	a1, ok1 := run.PhaseByLabel("a1")
 	b, ok2 := run.PhaseByLabel("B")
 	if !ok1 || !ok2 {
@@ -197,10 +232,7 @@ func TestHPCGBandwidthShape(t *testing.T) {
 }
 
 func TestHPCGObjectAccounting(t *testing.T) {
-	run, err := RunHPCG(testConfig(), testHPCGParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := runHPCG(t, testConfig(), testHPCGParams())
 	matrix := run.MatrixGroup()
 	maps := run.MapGroup()
 	if matrix == nil || maps == nil {
@@ -230,10 +262,7 @@ func TestHPCGObjectAccounting(t *testing.T) {
 }
 
 func TestHPCGFigure1Renders(t *testing.T) {
-	run, err := RunHPCG(testConfig(), testHPCGParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := runHPCG(t, testConfig(), testHPCGParams())
 	fig := run.Figure1()
 	var buf bytes.Buffer
 	if err := fig.Render(&buf); err != nil {
@@ -258,12 +287,9 @@ func TestHPCGFigure1Renders(t *testing.T) {
 
 func TestWriteTraceRoundTrip(t *testing.T) {
 	w := workloads.NewStream(1 << 12)
-	res, err := RunWorkload(testConfig(), w, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRunWorkload(t, testConfig(), w, 5, 1)
 	var prv, pcf bytes.Buffer
-	if err := res.Session.WriteTrace(&prv, &pcf); err != nil {
+	if err := res.Machine.WriteTrace(&prv, &pcf); err != nil {
 		t.Fatal(err)
 	}
 	if prv.Len() == 0 || pcf.Len() == 0 {
@@ -282,10 +308,7 @@ func TestWriteTraceRoundTrip(t *testing.T) {
 // timestamps, and the drain must merge them into the log's time order.
 // WriteTrace must produce a valid (per-thread monotonic) PRV trace.
 func TestWriteTraceHPCGOrdering(t *testing.T) {
-	run, err := RunHPCG(testConfig(), testHPCGParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := runHPCG(t, testConfig(), testHPCGParams())
 	var prv, pcf bytes.Buffer
 	if err := run.Session.WriteTrace(&prv, &pcf); err != nil {
 		t.Fatalf("WriteTrace on HPCG session: %v", err)

@@ -29,7 +29,7 @@ func comparableConfigs() (fast, ref Config) {
 	return fast, ref
 }
 
-func assertRunsIdentical(t *testing.T, fastS, refS *Session) {
+func assertRunsIdentical(t *testing.T, fastS, refS *MachineThread) {
 	t.Helper()
 	fastRecs, refRecs := fastS.Mon.Records(), refS.Mon.Records()
 	if len(fastRecs) != len(refRecs) {
@@ -63,15 +63,9 @@ func TestFastPathEquivalenceHPCG(t *testing.T) {
 	fastCfg, refCfg := comparableConfigs()
 	params := hpcg.Params{NX: 8, NY: 8, NZ: 8, MGLevels: 2, MaxIters: 3}
 
-	fast, err := RunHPCG(fastCfg, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := RunHPCG(refCfg, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, fast.Session, ref.Session)
+	fast := runHPCG(t, fastCfg, params)
+	ref := runHPCG(t, refCfg, params)
+	assertRunsIdentical(t, fast.Session.MachineThread, ref.Session.MachineThread)
 
 	// Folded output: identical samples, phase labels and MIPS curve.
 	if len(fast.Folded.Mem) == 0 {
@@ -105,33 +99,21 @@ func TestFastPathEquivalenceHPCGDeterministic(t *testing.T) {
 	refCfg := fastCfg
 	refCfg.Reference = true
 	params := hpcg.Params{NX: 8, NY: 8, NZ: 8, MGLevels: 2, MaxIters: 2}
-	fast, err := RunHPCG(fastCfg, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := RunHPCG(refCfg, params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, fast.Session, ref.Session)
+	fast := runHPCG(t, fastCfg, params)
+	ref := runHPCG(t, refCfg, params)
+	assertRunsIdentical(t, fast.Session.MachineThread, ref.Session.MachineThread)
 }
 
 func TestFastPathEquivalenceStream(t *testing.T) {
 	fastCfg, refCfg := comparableConfigs()
-	fast, err := RunWorkload(fastCfg, workloads.NewStream(1<<13), 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := RunWorkload(refCfg, workloads.NewStream(1<<13), 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, fast.Session, ref.Session)
-	if len(fast.Folded.Mem) == 0 {
+	fast := mustRunWorkload(t, fastCfg, workloads.NewStream(1<<13), 12, 1)
+	ref := mustRunWorkload(t, refCfg, workloads.NewStream(1<<13), 12, 1)
+	assertRunsIdentical(t, fast.Machine.Primary(), ref.Machine.Primary())
+	if len(fast.Threads[0].Folded.Mem) == 0 {
 		t.Fatal("no folded samples: equivalence test is vacuous")
 	}
 	var loads, stores int
-	for _, mp := range fast.Folded.Mem {
+	for _, mp := range fast.Threads[0].Folded.Mem {
 		if mp.Store {
 			stores++
 		} else {
@@ -147,61 +129,37 @@ func TestFastPathEquivalenceRandomAccess(t *testing.T) {
 	// Random access defeats the bulk path (every access its own line) but
 	// still exercises the gated monitor against the per-op reference.
 	fastCfg, refCfg := comparableConfigs()
-	fast, err := RunWorkload(fastCfg, workloads.NewRandomAccess(1<<14, 4000, 3), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := RunWorkload(refCfg, workloads.NewRandomAccess(1<<14, 4000, 3), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, fast.Session, ref.Session)
+	fast := mustRunWorkload(t, fastCfg, workloads.NewRandomAccess(1<<14, 4000, 3), 8, 1)
+	ref := mustRunWorkload(t, refCfg, workloads.NewRandomAccess(1<<14, 4000, 3), 8, 1)
+	assertRunsIdentical(t, fast.Machine.Primary(), ref.Machine.Primary())
 }
 
 func TestFastPathEquivalencePointerChase(t *testing.T) {
 	// Dependency-chained loads: every access stalls for its full latency,
 	// so the gated path must agree on every countdown boundary.
 	fastCfg, refCfg := comparableConfigs()
-	fast, err := RunWorkload(fastCfg, workloads.NewPointerChase(1<<12, 5), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := RunWorkload(refCfg, workloads.NewPointerChase(1<<12, 5), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, fast.Session, ref.Session)
+	fast := mustRunWorkload(t, fastCfg, workloads.NewPointerChase(1<<12, 5), 8, 1)
+	ref := mustRunWorkload(t, refCfg, workloads.NewPointerChase(1<<12, 5), 8, 1)
+	assertRunsIdentical(t, fast.Machine.Primary(), ref.Machine.Primary())
 }
 
 func TestFastPathEquivalenceMatMul(t *testing.T) {
 	// Mixed pattern: cache-resident A rows, strided B columns, per-element
 	// loads with interleaved compute.
 	fastCfg, refCfg := comparableConfigs()
-	fast, err := RunWorkload(fastCfg, workloads.NewMatMul(24), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := RunWorkload(refCfg, workloads.NewMatMul(24), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, fast.Session, ref.Session)
+	fast := mustRunWorkload(t, fastCfg, workloads.NewMatMul(24), 3, 1)
+	ref := mustRunWorkload(t, refCfg, workloads.NewMatMul(24), 3, 1)
+	assertRunsIdentical(t, fast.Machine.Primary(), ref.Machine.Primary())
 }
 
 func TestFastPathEquivalenceSpMV(t *testing.T) {
 	// CSR SpMV mixes the batched stream issue (values, column indices)
 	// with an indexed x gather — the access shape of HPCG's SpMV phase.
 	fastCfg, refCfg := comparableConfigs()
-	fast, err := RunWorkload(fastCfg, workloads.NewSpMV(12, 12, 12), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := RunWorkload(refCfg, workloads.NewSpMV(12, 12, 12), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, fast.Session, ref.Session)
-	if len(fast.Folded.Mem) == 0 {
+	fast := mustRunWorkload(t, fastCfg, workloads.NewSpMV(12, 12, 12), 4, 1)
+	ref := mustRunWorkload(t, refCfg, workloads.NewSpMV(12, 12, 12), 4, 1)
+	assertRunsIdentical(t, fast.Machine.Primary(), ref.Machine.Primary())
+	if len(fast.Threads[0].Folded.Mem) == 0 {
 		t.Fatal("no folded samples: equivalence test is vacuous")
 	}
 }

@@ -33,13 +33,6 @@ type HPCGRun struct {
 	Partial bool
 }
 
-// RunHPCG executes the paper's evaluation end to end: generate the problem
-// (setup phase, unmonitored but with allocation tracking), run CG under
-// monitoring, fold the iteration region and label the phases.
-func RunHPCG(cfg Config, params hpcg.Params) (*HPCGRun, error) {
-	return RunHPCGCheckpointed(nil, cfg, params, nil)
-}
-
 // LabelPaperPhases walks the detected phases of a folded HPCG iteration and
 // assigns the paper's letters. Consecutive phases sharing a function form
 // one occurrence; the first SYMGS occurrence is A (its forward/backward

@@ -94,16 +94,10 @@ func TestLineRunPropertyFastVsReference(t *testing.T) {
 			refCfg.Reference = true
 
 			mk := func() *runWorkload { return &runWorkload{Seed: seed * 31, N: 120, Words: 1 << 16} }
-			fast, err := RunWorkload(fastCfg, mk(), 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref, err := RunWorkload(refCfg, mk(), 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertRunsIdentical(t, fast.Session, ref.Session)
-			if len(fast.Folded.Mem) == 0 {
+			fast, fastFolded := sessionRun(t, fastCfg, mk(), 3)
+			ref, _ := sessionRun(t, refCfg, mk(), 3)
+			assertRunsIdentical(t, fast.MachineThread, ref.MachineThread)
+			if len(fastFolded.Mem) == 0 {
 				t.Fatal("no folded samples: equivalence test is vacuous")
 			}
 		})

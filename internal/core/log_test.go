@@ -185,10 +185,7 @@ func TestSpanExtractMatchesRecordExtract(t *testing.T) {
 	cfg, _ := comparableConfigs() // multiplexed, randomized sampling
 	params := testHPCGParams()
 	params.MaxIters = 3
-	sess, err := RunHPCG(cfg, params)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := runHPCG(t, cfg, params)
 	prv, _ := traceBytes(t, sess.Session)
 	checkSpansMatchRecords(t, sess.Session.Mon, readPRV(t, prv), sess.Problem.RegionIteration, 0, 0)
 
@@ -226,10 +223,7 @@ func TestWriteTraceAllocsIndependentOfLength(t *testing.T) {
 	var sessionAllocs, machineAllocs, records []float64
 	for _, iters := range []int{1, 4} {
 		params.MaxIters = iters
-		sess, err := RunHPCG(cfg, params)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sess := runHPCG(t, cfg, params)
 		mach, err := RunHPCGParallel(nil, cfg, params, 2)
 		if err != nil {
 			t.Fatal(err)

@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cpu"
 	"repro/internal/extrae"
-	"repro/internal/faultinject"
 	"repro/internal/folding"
 	"repro/internal/hpcg"
 	"repro/internal/memhier"
@@ -21,9 +19,10 @@ import (
 )
 
 // MachineThread is one simulated core's private stack: its own cache
-// levels (L1/L2), core, PMU, PEBS engine and Extrae monitor — exactly what
-// the paper's per-hardware-thread monitoring attaches to each OpenMP
-// thread. The hierarchy's last level is the Machine's shared L3.
+// levels, core, PMU, PEBS engine and Extrae monitor — exactly what the
+// paper's per-hardware-thread monitoring attaches to each OpenMP thread.
+// The hierarchy's last level is its socket's shared L3, except on the
+// one-thread flat machine, whose hierarchy is entirely private.
 type MachineThread struct {
 	Hier *memhier.Hierarchy
 	Core *cpu.Core
@@ -31,22 +30,20 @@ type MachineThread struct {
 }
 
 // Machine is an N-core simulated shared-memory node: N MachineThreads
-// running concurrently (one goroutine each during parallel sections),
 // sharing one address space, one synthetic binary and one data-object
 // registry. Cores are grouped into S sockets (S = 1 unless Config.NUMA
 // asks for more), each socket with its own thread-safe shared L3; on a
 // NUMA machine every DRAM fill additionally resolves through the page
-// placement to its home memory node. A 1-thread Machine is
-// observationally identical to a Session, and a 1-socket NUMA-routed
-// Machine to the flat Machine — the fastpath and partition equivalence
-// suites pin both.
+// placement to its home memory node. The one-thread flat machine keeps
+// its L3 private: with no other core to share it, the shared cache's
+// locking would only cost time (DESIGN.md §4). A 1-socket NUMA-routed
+// Machine is observationally identical to the flat Machine — the
+// partition equivalence suite pins it.
 type Machine struct {
 	Cfg     Config
 	Threads []*MachineThread
-	// L3 is socket 0's shared last-level cache (the only one on a
-	// single-socket machine).
-	L3 *memhier.SharedCache
-	// L3s holds every socket's shared L3, indexed by socket.
+	// L3s holds every socket's shared L3, indexed by socket (none on the
+	// one-thread flat machine).
 	L3s []*memhier.SharedCache
 	// Sockets is the socket count (1 for the flat machine).
 	Sockets int
@@ -58,26 +55,31 @@ type Machine struct {
 	AS        *prog.AddressSpace
 }
 
-// NewMachine builds an n-thread machine from the session configuration:
-// the last configured cache level becomes the per-socket shared L3, the
-// remaining levels are replicated privately per thread. With
-// cfg.NUMA.Sockets >= 1 the machine is NUMA-routed: threads are grouped
-// into contiguous socket blocks (thread t on socket t*S/n; sockets beyond
-// the thread count hold memory only), and every socket's caches route
-// DRAM traffic through one shared page placement.
+// NewMachine builds an n-thread machine from the configuration: the last
+// configured cache level becomes the per-socket shared L3, the remaining
+// levels are replicated privately per thread. With cfg.NUMA.Sockets >= 1
+// the machine is NUMA-routed: threads are grouped into contiguous socket
+// blocks (thread t on socket t*S/n; sockets beyond the thread count hold
+// memory only), and every socket's caches route DRAM traffic through one
+// shared page placement. One thread without NUMA gets every level
+// privately, so any hierarchy depth works there.
 func NewMachine(cfg Config, n int) (*Machine, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("core: machine needs at least one thread, got %d", n)
 	}
 	cfg = applyReference(cfg)
 	levels := cfg.Cache.Levels
-	if len(levels) < 2 {
-		return nil, fmt.Errorf("core: machine needs >= 2 cache levels (private + shared LLC), got %d", len(levels))
-	}
-	privCfg := memhier.Config{
-		Levels:           levels[:len(levels)-1],
-		DRAMLatency:      cfg.Cache.DRAMLatency,
-		NextLinePrefetch: cfg.Cache.NextLinePrefetch,
+	privCfg := cfg.Cache
+	shared := n > 1 || cfg.NUMA.Sockets > 0
+	if shared {
+		if len(levels) < 2 {
+			return nil, fmt.Errorf("core: machine needs >= 2 cache levels (private + shared LLC), got %d", len(levels))
+		}
+		privCfg = memhier.Config{
+			Levels:           levels[:len(levels)-1],
+			DRAMLatency:      cfg.Cache.DRAMLatency,
+			NextLinePrefetch: cfg.Cache.NextLinePrefetch,
+		}
 	}
 	sockets := 1
 	var placement *numa.Placement
@@ -112,7 +114,7 @@ func NewMachine(cfg Config, n int) (*Machine, error) {
 		Bin:       prog.NewBinary(),
 		AS:        prog.NewAddressSpace(heapBase(cfg)),
 	}
-	for s := 0; s < sockets; s++ {
+	for s := 0; shared && s < sockets; s++ {
 		llc, err := memhier.NewSharedCache(levels[len(levels)-1], 0)
 		if err != nil {
 			return nil, err
@@ -126,10 +128,15 @@ func NewMachine(cfg Config, n int) (*Machine, error) {
 		}
 		m.L3s = append(m.L3s, llc)
 	}
-	m.L3 = m.L3s[0]
 	for t := 0; t < n; t++ {
 		socket := t * sockets / n
-		hier, err := memhier.NewWithSharedLLC(privCfg, m.L3s[socket])
+		var hier *memhier.Hierarchy
+		var err error
+		if shared {
+			hier, err = memhier.NewWithSharedLLC(privCfg, m.L3s[socket])
+		} else {
+			hier, err = memhier.New(privCfg)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -203,16 +210,19 @@ func (m *Machine) FuncOf(ip uint64) string {
 	return ""
 }
 
-// MergedRecords returns every thread's log merged into one chronological
-// stream of references to the events in place: on equal times the lower
-// thread goes first, and Ref.Log is the 0-based thread index.
-func (m *Machine) MergedRecords() []trace.Ref {
+// logs returns every thread's log, in thread order.
+func (m *Machine) logs() []*trace.Log {
 	logs := make([]*trace.Log, len(m.Threads))
 	for i, th := range m.Threads {
 		logs[i] = th.Mon.Log()
 	}
-	return trace.Merge(logs...)
+	return logs
 }
+
+// MergedRecords returns every thread's log merged into one chronological
+// stream of references to the events in place: on equal times the lower
+// thread goes first, and Ref.Log is the 0-based thread index.
+func (m *Machine) MergedRecords() []trace.Ref { return trace.Merge(m.logs()...) }
 
 // Fold extracts and folds the named region for one thread (1-based) from
 // that thread's own log (equivalent to ExtractThread over the merged
@@ -221,39 +231,63 @@ func (m *Machine) Fold(region extrae.Region, thread int) (*folding.Folded, error
 	if thread < 1 || thread > len(m.Threads) {
 		return nil, fmt.Errorf("core: thread %d out of range 1..%d", thread, len(m.Threads))
 	}
-	th := m.Threads[thread-1]
-	instances, err := folding.Extract(th.Mon.Log(), int64(region))
+	mon := m.Threads[thread-1].Mon
+	instances, err := folding.Extract(mon.Log(), int64(region))
 	if err != nil {
 		return nil, err
 	}
 	if len(instances) == 0 {
-		return nil, fmt.Errorf("core: no instances of region %q on thread %d", th.Mon.RegionName(region), thread)
+		return nil, fmt.Errorf("core: no instances of region %q on thread %d", mon.RegionName(region), thread)
 	}
-	// Stack ids are monitor-local, so the outermost-frame attribution must
-	// resolve against this thread's own monitor.
-	return foldInstances(instances, m.Cfg.Folding, region, m.FuncOf, th.Mon)
+	// Bind the config defaults: FuncOf resolves through the binary;
+	// PhaseIP attributes samples taken under an instrumented call frame to
+	// the outermost frame of this thread's stack table (stack ids are
+	// monitor-local; e.g. the multigrid coarse-level smoother runs the
+	// same code as the fine smoother, but belongs to ComputeMG_ref).
+	cfg := m.Cfg.Folding
+	if cfg.FuncOf == nil {
+		cfg.FuncOf = m.FuncOf
+	}
+	if cfg.PhaseIP == nil {
+		cfg.PhaseIP = func(smp *trace.Event) uint64 {
+			if frames := mon.Stacks().Frames(smp.StackID); len(frames) > 0 {
+				return frames[len(frames)-1]
+			}
+			return smp.IP
+		}
+	}
+	folded, err := folding.Fold(instances, cfg)
+	if err != nil {
+		return nil, err
+	}
+	folded.Region = int64(region)
+	folded.LabelPhases(m.FuncOf)
+	return folded, nil
 }
 
-// WriteTrace serializes the merged multi-thread trace and labels to the
-// writers (PRV-style text and PCF). All monitors carry identical labels;
-// the primary's are written.
+// WriteTrace serializes the trace and labels to the writers (PRV-style
+// text and PCF), walking the threads' logs in merged order in place. All
+// monitors carry identical labels; the primary's are written.
 func (m *Machine) WriteTrace(prv, pcf interface {
 	Write(p []byte) (int, error)
 }) error {
-	refs := m.MergedRecords()
+	logs := m.logs()
 	var dur uint64
-	if len(refs) > 0 {
-		dur = refs[len(refs)-1].Event.TimeNs
+	for _, l := range logs {
+		if l.Len() > 0 {
+			dur = max(dur, l.Last().TimeNs)
+		}
 	}
 	w, err := trace.NewWriter(prv, 1, len(m.Threads), dur)
 	if err != nil {
 		return err
 	}
 	var rec trace.Record
-	for _, r := range refs {
-		mon := m.Threads[r.Log].Mon
-		rec.Task, rec.Thread = mon.Task(), mon.Thread()
-		if err := writeEvent(w, &rec, r.Event); err != nil {
+	for t, e := range trace.Merged(logs...) {
+		mon := m.Threads[t].Mon
+		rec.Task, rec.Thread, rec.TimeNs = mon.Task(), mon.Thread(), e.TimeNs
+		rec.Pairs = e.AppendPairs(rec.Pairs[:0])
+		if err := w.Write(rec); err != nil {
 			return err
 		}
 	}
@@ -263,40 +297,42 @@ func (m *Machine) WriteTrace(prv, pcf interface {
 	return m.Primary().Mon.Labels().WritePCF(pcf)
 }
 
-// RunWorkloadParallel runs a partitionable synthetic workload across an
-// n-thread Machine: setup on the primary thread, then one goroutine per
-// thread free-running its static element block (the triad-style workloads
-// have no cross-block dependencies, so no barriers are needed), then one
-// folded analysis per thread. With one thread the run is identical to
-// RunWorkload. Workers poll ctx at instance boundaries and recover panics;
-// either fault surfaces as a *RunError alongside the partial result.
-func RunWorkloadParallel(ctx context.Context, cfg Config, w workloads.PartitionedWorkload, iters, threads int) (*MachineWorkloadResult, error) {
-	return runWorkloadPartitioned(ctx, cfg, w, iters, threads, true, nil)
+// foldAll stops monitoring and folds region on every thread after a run
+// that ended with err: nil (every thread must fold), a clean stop
+// (*RunError: the threads that fold are kept) or a hard failure, returned
+// as is.
+func (m *Machine) foldAll(region extrae.Region, err error) ([]MachineThreadRun, error) {
+	var stop *RunError
+	if err != nil && !errors.As(err, &stop) {
+		return nil, err
+	}
+	m.StopAll()
+	var out []MachineThreadRun
+	for t := 1; t <= len(m.Threads); t++ {
+		folded, err := m.Fold(region, t)
+		if err != nil && stop == nil {
+			return nil, err
+		}
+		if err == nil {
+			out = append(out, MachineThreadRun{Thread: t, Folded: folded})
+		}
+	}
+	return out, nil
 }
 
-// RunWorkloadSequential is RunWorkloadParallel under a deterministic
-// schedule: the same Machine, partitioning, per-thread monitors and shared
-// L3, but thread t's whole block runs to completion before thread t+1
-// starts. The free-running partitioned workloads have no cross-block
-// dependencies, so the sequential schedule is a legal interleaving; unlike
-// the goroutine schedule it fixes the order of shared-L3 fills, making the
+// RunWorkload sets up, monitors and folds a synthetic workload on a
+// threads-thread Machine: setup on the primary thread, then the
+// deterministic thread-major schedule (thread t runs all its iterations
+// over its static element block before thread t+1 starts), then one folded
+// analysis per thread. The partitioned workloads have no cross-block
+// dependencies, so this is a legal interleaving of a parallel run; unlike
+// a goroutine schedule it fixes the order of shared-L3 fills, making the
 // run bit-reproducible — the scenario golden-metrics harness depends on
-// this. With one thread both entry points are identical.
-func RunWorkloadSequential(ctx context.Context, cfg Config, w workloads.PartitionedWorkload, iters, threads int) (*MachineWorkloadResult, error) {
-	return runWorkloadPartitioned(ctx, cfg, w, iters, threads, false, nil)
-}
-
-func runWorkloadPartitioned(ctx context.Context, cfg Config, w workloads.PartitionedWorkload, iters, threads int, concurrent bool, ck *Checkpointer) (*MachineWorkloadResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	rw, resumable := w.(workloads.ResumableWorkload)
-	if ck.checkpoints() && !resumable {
-		return nil, fmt.Errorf("core: workload %q does not support checkpointing (no RunPartitionRange)", w.Name())
-	}
-	if ck.checkpoints() && concurrent {
-		return nil, fmt.Errorf("core: checkpointing requires the deterministic sequential schedule")
-	}
+// it. ck (nil for none) snapshots, resumes and observes the run at
+// instance boundaries. A run stopped there (cancellation, an injected
+// fault or a demanded checkpoint) returns its partial result alongside a
+// *RunError.
+func RunWorkload(ctx context.Context, cfg Config, w workloads.ResumableWorkload, iters, threads int, ck *Checkpointer) (*MachineWorkloadResult, error) {
 	m, err := NewMachine(cfg, threads)
 	if err != nil {
 		return nil, err
@@ -314,194 +350,32 @@ func runWorkloadPartitioned(ctx context.Context, cfg Config, w workloads.Partiti
 		}
 	}
 	m.StartAll()
-	n := w.Elements()
-	var runErr *RunError
-	if concurrent {
-		runErr = m.runConcurrent(ctx, w, rw, iters, n)
-	} else {
-		runErr, err = m.runSequential(ctx, w, rw, iters, n, ck)
-		if err != nil {
-			return nil, err
-		}
+	err = m.run(ctx, &workloadSchedule{m: m, w: w, iters: iters}, ck)
+	folded, ferr := m.foldAll(w.Region(), err)
+	if ferr != nil {
+		return nil, ferr
 	}
-	m.StopAll()
-	if runErr != nil {
-		// Partial result: fold whatever threads completed instances. The
-		// caller gets both the data and the structured error.
-		res := &MachineWorkloadResult{Machine: m, Partial: true}
-		for t := 1; t <= len(m.Threads); t++ {
-			folded, err := m.Fold(w.Region(), t)
-			if err != nil {
-				continue
-			}
-			res.Threads = append(res.Threads, MachineThreadRun{Thread: t, Folded: folded})
-		}
-		return res, runErr
-	}
-	res := &MachineWorkloadResult{Machine: m}
-	for t := 1; t <= len(m.Threads); t++ {
-		folded, err := m.Fold(w.Region(), t)
-		if err != nil {
-			return nil, err
-		}
-		res.Threads = append(res.Threads, MachineThreadRun{Thread: t, Folded: folded})
-	}
-	return res, nil
+	return &MachineWorkloadResult{Machine: m, Threads: folded, Partial: err != nil}, err
 }
 
-// runConcurrent free-runs every thread's block in its own goroutine. Each
-// goroutine polls ctx between instances and recovers panics, so one dying
-// worker can never hang the WaitGroup; the first fault (lowest thread id)
-// becomes the run's error.
-func (m *Machine) runConcurrent(ctx context.Context, w workloads.PartitionedWorkload, rw workloads.ResumableWorkload, iters, n int) *RunError {
-	errs := make([]*RunError, len(m.Threads))
-	cursors := make([]int, len(m.Threads))
-	var wg sync.WaitGroup
-	for t, th := range m.Threads {
-		wg.Add(1)
-		go func(t int, th *MachineThread) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[t] = &RunError{Thread: t + 1,
-						Cursor: checkpoint.Cursor{Thread: t, Iter: cursors[t]},
-						Cause:  fmt.Errorf("panic: %v", r)}
-				}
-			}()
-			lo, hi := t*n/len(m.Threads), (t+1)*n/len(m.Threads)
-			wctx := &workloads.Ctx{Core: th.Core, Mon: th.Mon, Bin: m.Bin}
-			if rw == nil {
-				// Non-resumable workloads run their block in one call;
-				// cancellation is only observed before the block starts.
-				if err := ctx.Err(); err != nil {
-					errs[t] = &RunError{Thread: t + 1, Cursor: checkpoint.Cursor{Thread: t}, Cause: err}
-					return
-				}
-				if err := w.RunPartition(wctx, iters, lo, hi); err != nil {
-					errs[t] = &RunError{Thread: t + 1, Cursor: checkpoint.Cursor{Thread: t}, Cause: err}
-				}
-				return
-			}
-			for it := 0; it < iters; it++ {
-				cursors[t] = it
-				if err := ctx.Err(); err != nil {
-					errs[t] = &RunError{Thread: t + 1, Cursor: checkpoint.Cursor{Thread: t, Iter: it}, Cause: err}
-					return
-				}
-				if err := rw.RunPartitionRange(wctx, it, it+1, lo, hi); err != nil {
-					errs[t] = &RunError{Thread: t + 1, Cursor: checkpoint.Cursor{Thread: t, Iter: it}, Cause: err}
-					return
-				}
-			}
-		}(t, th)
-	}
-	wg.Wait()
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-// runSequential drives the deterministic thread-major schedule one instance
-// at a time: cancellation polls and the instance fault-injection point sit
-// between instances, and the optional checkpointer snapshots there too —
-// the only program points where the monitors' sampling state is quiescent.
-// The returned *RunError is a clean stop (resume-able); the plain error is
-// a hard failure.
-func (m *Machine) runSequential(ctx context.Context, w workloads.PartitionedWorkload, rw workloads.ResumableWorkload, iters, n int, ck *Checkpointer) (*RunError, error) {
-	if rw == nil {
-		for t, th := range m.Threads {
-			if err := ctx.Err(); err != nil {
-				return &RunError{Thread: t + 1, Cursor: checkpoint.Cursor{Thread: t}, Cause: err}, nil
-			}
-			lo, hi := t*n/len(m.Threads), (t+1)*n/len(m.Threads)
-			if err := w.RunPartition(&workloads.Ctx{Core: th.Core, Mon: th.Mon, Bin: m.Bin}, iters, lo, hi); err != nil {
-				return nil, fmt.Errorf("core: thread %d: %w", t+1, err)
-			}
-			// Whole-partition runs only reach quiescence between threads;
-			// progress advances a thread's worth of instances at a time.
-			ck.observeMachine(m, (t+1)*iters)
-		}
-		return nil, nil
-	}
-	start := checkpoint.Cursor{}
-	if ck != nil && ck.Resume != nil {
-		if err := m.RestoreSnapshot(ck.Resume, ck.Tag); err != nil {
-			return nil, err
-		}
-		start = ck.Resume.Cursor
-	}
-	done := 0
-	ck.observeMachine(m, start.Thread*iters+start.Iter)
-	for t := start.Thread; t < len(m.Threads); t++ {
-		th := m.Threads[t]
-		lo, hi := t*n/len(m.Threads), (t+1)*n/len(m.Threads)
-		wctx := &workloads.Ctx{Core: th.Core, Mon: th.Mon, Bin: m.Bin}
-		it0 := 0
-		if t == start.Thread {
-			it0 = start.Iter
-		}
-		for it := it0; it < iters; it++ {
-			cur := checkpoint.Cursor{Thread: t, Iter: it}
-			if err := ctx.Err(); err != nil {
-				return &RunError{Thread: t + 1, Cursor: cur, Cause: err}, nil
-			}
-			if err := faultinject.Hit(faultinject.PointInstance); err != nil {
-				return &RunError{Thread: t + 1, Cursor: cur, Cause: err}, nil
-			}
-			if ck.demanded() {
-				snap, err := m.Snapshot(cur, ck.Tag)
-				if err != nil {
-					return nil, err
-				}
-				if err := ck.emit(snap); err != nil {
-					return nil, err
-				}
-				return &RunError{Thread: t + 1, Cursor: cur, Cause: ErrCheckpointDemanded}, nil
-			}
-			if err := rw.RunPartitionRange(wctx, it, it+1, lo, hi); err != nil {
-				return nil, fmt.Errorf("core: thread %d: %w", t+1, err)
-			}
-			done++
-			ck.observeMachine(m, t*iters+it+1)
-			next := checkpoint.Cursor{Thread: t, Iter: it + 1}
-			if next.Iter == iters {
-				next = checkpoint.Cursor{Thread: t + 1}
-			}
-			atEnd := next.Thread == len(m.Threads)
-			if ck != nil && ck.Every > 0 && done%ck.Every == 0 && !atEnd {
-				snap, err := m.Snapshot(next, ck.Tag)
-				if err != nil {
-					return nil, err
-				}
-				if err := ck.emit(snap); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return nil, nil
-}
-
-// MachineWorkloadResult bundles a multi-threaded synthetic-workload run
-// with its per-thread foldings.
+// MachineWorkloadResult bundles a synthetic-workload run with its
+// per-thread foldings.
 type MachineWorkloadResult struct {
 	Machine *Machine
 	Threads []MachineThreadRun
 	// Partial marks a run stopped before completion (cancellation, injected
-	// fault or contained panic): Threads holds only what folded cleanly.
+	// fault or demanded checkpoint): Threads holds only what folded cleanly.
 	Partial bool
 }
 
-// MachineThreadRun is one thread's folded view of a machine HPCG run.
+// MachineThreadRun is one thread's folded view of a machine run.
 type MachineThreadRun struct {
 	// Thread is the 1-based thread id.
 	Thread int
-	// Folded is the thread's folded CG_iteration region.
+	// Folded is the thread's folded region.
 	Folded *folding.Folded
-	// Paper maps the thread's detected phases onto the paper's letters.
+	// Paper maps the thread's detected phases onto the paper's letters
+	// (HPCG runs).
 	Paper []PaperPhase
 }
 
@@ -527,22 +401,9 @@ func RunHPCGParallel(ctx context.Context, cfg Config, params hpcg.Params, thread
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m, err := NewMachine(cfg, threads)
+	m, problem, err := newHPCG(cfg, params, threads)
 	if err != nil {
 		return nil, err
-	}
-	if err := hpcg.SetupBinary(m.Bin); err != nil {
-		return nil, err
-	}
-	primary := m.Primary()
-	problem, err := hpcg.Generate(params, primary.Core, primary.Mon, m.Bin)
-	if err != nil {
-		return nil, err
-	}
-	for _, th := range m.Threads[1:] {
-		if err := problem.RegisterRegions(th.Mon); err != nil {
-			return nil, err
-		}
 	}
 	team, err := m.Team()
 	if err != nil {
@@ -552,40 +413,42 @@ func RunHPCGParallel(ctx context.Context, cfg Config, params hpcg.Params, thread
 	team.SetContext(ctx)
 	m.StartAll()
 	cg, err := problem.RunCGParallel(team)
+	if abort := (*hpcg.AbortError)(nil); errors.As(err, &abort) {
+		err = &RunError{Cursor: checkpoint.Cursor{Iter: abort.Iteration}, Cause: abort.Err}
+	}
+	folded, ferr := m.foldAll(problem.RegionIteration, err)
+	if ferr != nil {
+		return nil, ferr
+	}
+	run := &MachineHPCGRun{Machine: m, Problem: problem, CG: cg, Threads: folded, Partial: err != nil}
+	for i := range run.Threads {
+		run.Threads[i].Paper = LabelPaperPhases(run.Threads[i].Folded, m.FuncOf)
+	}
+	return run, err
+}
+
+// newHPCG builds an n-thread machine and generates the problem on its
+// primary thread (setup, unmonitored but with allocation tracking), with
+// the problem's regions registered on every thread.
+func newHPCG(cfg Config, params hpcg.Params, n int) (*Machine, *hpcg.Problem, error) {
+	m, err := NewMachine(cfg, n)
 	if err != nil {
-		var abort *hpcg.AbortError
-		if !errors.As(err, &abort) {
-			return nil, err
-		}
-		m.StopAll()
-		run := &MachineHPCGRun{Machine: m, Problem: problem, Partial: true}
-		for t := 1; t <= len(m.Threads); t++ {
-			folded, ferr := m.Fold(problem.RegionIteration, t)
-			if ferr != nil {
-				continue
-			}
-			run.Threads = append(run.Threads, MachineThreadRun{
-				Thread: t,
-				Folded: folded,
-				Paper:  LabelPaperPhases(folded, m.FuncOf),
-			})
-		}
-		return run, &RunError{Cursor: checkpoint.Cursor{Iter: abort.Iteration}, Cause: abort.Err}
+		return nil, nil, err
 	}
-	m.StopAll()
-	run := &MachineHPCGRun{Machine: m, Problem: problem, CG: cg}
-	for t := 1; t <= len(m.Threads); t++ {
-		folded, err := m.Fold(problem.RegionIteration, t)
-		if err != nil {
-			return nil, err
-		}
-		run.Threads = append(run.Threads, MachineThreadRun{
-			Thread: t,
-			Folded: folded,
-			Paper:  LabelPaperPhases(folded, m.FuncOf),
-		})
+	if err := hpcg.SetupBinary(m.Bin); err != nil {
+		return nil, nil, err
 	}
-	return run, nil
+	primary := m.Primary()
+	problem, err := hpcg.Generate(params, primary.Core, primary.Mon, m.Bin)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, th := range m.Threads[1:] {
+		if err := problem.RegisterRegions(th.Mon); err != nil {
+			return nil, nil, err
+		}
+	}
+	return m, problem, nil
 }
 
 // NUMAReport assembles the per-socket traffic section of a NUMA-routed
@@ -639,24 +502,26 @@ func (r *MachineHPCGRun) Figure() *report.MachineFigure {
 			PaperLabels: labels,
 		})
 	}
-	llcLevel := r.Machine.Primary().Hier.Levels() - 1
-	for _, mt := range r.Machine.Threads {
+	// Per-thread demand attribution; the cache-wide counters sum over every
+	// socket's last level, read through its first thread (a shared L3
+	// reports its totals to each of its threads, and the one-thread flat
+	// machine's L3 is private). Threads form contiguous socket blocks.
+	m := r.Machine
+	llcLevel := m.Primary().Hier.Levels() - 1
+	for t, mt := range m.Threads {
 		st := mt.Hier.LevelStats(llcLevel)
 		fig.L3.PerThread = append(fig.L3.PerThread, report.L3ThreadRow{
 			Thread:   mt.Mon.Thread(),
 			Accesses: st.Accesses,
 			Misses:   st.Misses,
 		})
+		if t == 0 || m.SocketOf[t] != m.SocketOf[t-1] {
+			fig.L3.Writebacks += st.Writebacks
+			fig.L3.Prefetches += st.Prefetches
+			fig.L3.PrefHits += st.PrefHits
+		}
 	}
-	// Cache-wide counters sum over every socket's L3 (one L3 on the flat
-	// machine, so the historical single-socket numbers are unchanged).
-	for _, l3 := range r.Machine.L3s {
-		llc := l3.Stats()
-		fig.L3.Writebacks += llc.Writebacks
-		fig.L3.Prefetches += llc.Prefetches
-		fig.L3.PrefHits += llc.PrefHits
-	}
-	fig.NUMA = r.Machine.NUMAReport()
+	fig.NUMA = m.NUMAReport()
 	return fig
 }
 

@@ -7,15 +7,18 @@ import (
 	"testing"
 
 	"repro/internal/hpcg"
+	"repro/internal/numa"
+	"repro/internal/report"
 	"repro/internal/workloads"
 )
 
-// TestMachineSingleThreadIdenticalToSession pins the tentpole equivalence:
-// a 1-thread Machine (private L1/L2, shared-L3 code path, team-dispatched
-// parallel CG) must be byte-identical to the existing single-Session run —
-// same trace records, cycles, PMU totals, cache statistics, PEBS stats,
-// folded samples and paper labels.
-func TestMachineSingleThreadIdenticalToSession(t *testing.T) {
+// TestSequentialCGIdenticalToOneWorkerTeam pins the two CG solves to each
+// other on one thread: the sequential solve (RunHPCGCheckpointed, one
+// CGRun.Step per instance) and the team-dispatched parallel solve with one
+// worker (RunHPCGParallel) must be byte-identical — same trace records,
+// cycles, PMU totals, cache statistics, PEBS stats, folded samples, paper
+// labels and CG numerics.
+func TestSequentialCGIdenticalToOneWorkerTeam(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		cfg  func() Config
@@ -25,10 +28,7 @@ func TestMachineSingleThreadIdenticalToSession(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			params := hpcg.Params{NX: 8, NY: 8, NZ: 8, MGLevels: 2, MaxIters: 3}
-			sess, err := RunHPCG(mode.cfg(), params)
-			if err != nil {
-				t.Fatal(err)
-			}
+			sess := runHPCG(t, mode.cfg(), params)
 			mach, err := RunHPCGParallel(nil, mode.cfg(), params, 1)
 			if err != nil {
 				t.Fatal(err)
@@ -98,6 +98,31 @@ func TestMachineSingleThreadIdenticalToSession(t *testing.T) {
 				t.Errorf("final error differs: %g vs %g", sess.CG.FinalError, mach.CG.FinalError)
 			}
 		})
+	}
+}
+
+// TestMachineFigureL3CountersOneThread pins the per-thread report's
+// cache-wide L3 counters on one thread: the flat machine's private L3 must
+// report what a 1-socket routed machine's shared L3 reports.
+func TestMachineFigureL3CountersOneThread(t *testing.T) {
+	params := hpcg.Params{NX: 16, NY: 16, NZ: 16, MGLevels: 2, MaxIters: 2}
+	cfg := testConfig()
+	cfg.Cache.Levels[2].Size = 320 << 10 // 256 sets: the problem spills
+	figure := func(cfg Config) *report.MachineFigure {
+		run, err := RunHPCGParallel(nil, cfg, params, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run.Figure()
+	}
+	flat := figure(cfg)
+	cfg.NUMA = numa.Config{Sockets: 1}
+	routed := figure(cfg)
+	if !reflect.DeepEqual(flat.L3, routed.L3) {
+		t.Errorf("L3 attribution: flat %+v, routed %+v", flat.L3, routed.L3)
+	}
+	if l3 := flat.L3; l3.Writebacks == 0 || l3.Prefetches == 0 || l3.PrefHits == 0 {
+		t.Errorf("flat one-thread L3 counters read zero: %+v", l3)
 	}
 }
 
@@ -177,7 +202,7 @@ func TestMachineHPCGFourThreads(t *testing.T) {
 			t.Error("a thread never reached the shared L3")
 		}
 	}
-	if llcMisses := run.Machine.L3.Stats().Misses; llcMisses != dram {
+	if llcMisses := run.Machine.L3s[0].Stats().Misses; llcMisses != dram {
 		t.Errorf("shared L3 misses %d != summed per-thread DRAM fills %d", llcMisses, dram)
 	}
 	// The merged trace round-trips through the PRV writer with 4 threads.
@@ -194,21 +219,16 @@ func TestMachineHPCGFourThreads(t *testing.T) {
 	}
 }
 
-// TestMachineStreamSingleThreadIdentical pins the workload path of the
-// Machine to RunWorkload: a 1-thread partitioned STREAM run produces the
-// identical trace and simulation state.
+// TestMachineStreamSingleThreadIdentical pins RunWorkload's one-thread
+// schedule to the whole block in one call: a 1-thread STREAM run through
+// the instance-boundary loop produces the trace and simulation state of
+// w.Run on a Session.
 func TestMachineStreamSingleThreadIdentical(t *testing.T) {
 	cfg, _ := comparableConfigs()
-	sess, err := RunWorkload(cfg, workloads.NewStream(1<<13), 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach, err := RunWorkloadParallel(nil, cfg, workloads.NewStream(1<<13), 12, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess, sf := sessionRun(t, cfg, workloads.NewStream(1<<13), 12)
+	mach := mustRunWorkload(t, cfg, workloads.NewStream(1<<13), 12, 1)
 	mt := mach.Machine.Primary()
-	sRecs, mRecs := sess.Session.Mon.Records(), mt.Mon.Records()
+	sRecs, mRecs := sess.Mon.Records(), mt.Mon.Records()
 	if len(sRecs) != len(mRecs) {
 		t.Fatalf("record count: session %d, machine %d", len(sRecs), len(mRecs))
 	}
@@ -217,27 +237,24 @@ func TestMachineStreamSingleThreadIdentical(t *testing.T) {
 			t.Fatalf("record %d differs:\nsession: %+v\nmachine: %+v", i, sRecs[i], mRecs[i])
 		}
 	}
-	if a, b := sess.Session.Core.PMU().TrueSnapshot(), mt.Core.PMU().TrueSnapshot(); a != b {
+	if a, b := sess.Core.PMU().TrueSnapshot(), mt.Core.PMU().TrueSnapshot(); a != b {
 		t.Errorf("PMU totals: session %v, machine %v", a, b)
 	}
-	if a, b := len(sess.Folded.Mem), len(mach.Threads[0].Folded.Mem); a != b {
+	if a, b := len(sf.Mem), len(mach.Threads[0].Folded.Mem); a != b {
 		t.Errorf("folded samples: session %d, machine %d", a, b)
 	}
 }
 
-// TestMachineStreamFourThreads free-runs the triad across 4 cores: every
+// TestMachineStreamFourThreads runs the triad across 4 cores: every
 // thread folds instances over its own disjoint block of the arrays (the
 // per-thread blocks ascend in address), and the triad arithmetic is
-// correct despite the concurrency.
+// correct.
 func TestMachineStreamFourThreads(t *testing.T) {
 	const threads = 4
 	cfg := testConfig()
 	cfg.Monitor.PEBS.Period = 60
 	w := workloads.NewStream(1 << 14)
-	res, err := RunWorkloadParallel(nil, cfg, w, 20, threads)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRunWorkload(t, cfg, w, 20, threads)
 	for i := 0; i < w.N; i += 500 {
 		if w.Value(i) != w.Expected(i) {
 			t.Fatalf("triad wrong at %d: %g != %g", i, w.Value(i), w.Expected(i))
@@ -275,5 +292,9 @@ func TestMachineValidation(t *testing.T) {
 	bad.Cache.Levels = bad.Cache.Levels[:1]
 	if _, err := NewMachine(bad, 2); err == nil {
 		t.Error("single-level cache accepted for a machine")
+	}
+	// One thread keeps every level private, so any depth works.
+	if m, err := NewMachine(bad, 1); err != nil || m.Primary().Hier.Levels() != 1 || len(m.L3s) != 0 {
+		t.Errorf("one-thread flat machine over one level: err %v", err)
 	}
 }

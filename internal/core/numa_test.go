@@ -30,59 +30,62 @@ func numaConfig(sockets int, policy numa.Policy) Config {
 // be byte-identical to the flat (unrouted) Machine for every partitioned
 // workload, including the serialized PRV/PCF trace (which also pins the
 // label and counter set: a single-node stack must not grow the remote
-// source value or the REMOTE_DRAM counter).
+// source value or the REMOTE_DRAM counter). At one thread the routed
+// machine's L3 is shared and the flat machine's private, so this also
+// pins the private L3 to the shared-cache model.
 func TestNUMASingleSocketIdenticalToMachine(t *testing.T) {
-	const iters, threads = 4, 2
+	const iters = 4
 	for name, mk := range partitionedWorkloads() {
 		t.Run(name, func(t *testing.T) {
 			for _, policy := range []numa.Policy{numa.FirstTouch, numa.Interleave} {
 				t.Run(policy.String(), func(t *testing.T) {
-					flat, err := RunWorkloadSequential(nil, testConfig(), mk(), iters, threads)
-					if err != nil {
-						t.Fatal(err)
-					}
-					routed, err := RunWorkloadSequential(nil, numaConfig(1, policy), mk(), iters, threads)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for th := 0; th < threads; th++ {
-						a := flat.Machine.Threads[th]
-						b := routed.Machine.Threads[th]
-						if x, y := a.Core.PMU().TrueSnapshot(), b.Core.PMU().TrueSnapshot(); x != y {
-							t.Errorf("thread %d PMU: flat %v, routed %v", th+1, x, y)
-						}
-						if x, y := a.Core.Cycles(), b.Core.Cycles(); x != y {
-							t.Errorf("thread %d cycles: flat %d, routed %d", th+1, x, y)
-						}
-						for lvl := 0; lvl < a.Hier.Levels(); lvl++ {
-							if x, y := a.Hier.LevelStats(lvl), b.Hier.LevelStats(lvl); x != y {
-								t.Errorf("thread %d level %d: flat %+v, routed %+v", th+1, lvl, x, y)
-							}
-						}
-						if b.Hier.RemoteDRAMAccesses() != 0 {
-							t.Errorf("thread %d: 1-socket machine recorded remote fills", th+1)
-						}
-						ra, rb := a.Mon.Records(), b.Mon.Records()
-						if !reflect.DeepEqual(ra, rb) {
-							t.Fatalf("thread %d trace records differ (%d vs %d)", th+1, len(ra), len(rb))
-						}
-					}
-					var prvA, pcfA, prvB, pcfB bytes.Buffer
-					if err := flat.Machine.WriteTrace(&prvA, &pcfA); err != nil {
-						t.Fatal(err)
-					}
-					if err := routed.Machine.WriteTrace(&prvB, &pcfB); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(prvA.Bytes(), prvB.Bytes()) {
-						t.Error("PRV trace bytes differ")
-					}
-					if !bytes.Equal(pcfA.Bytes(), pcfB.Bytes()) {
-						t.Errorf("PCF label bytes differ:\nflat:\n%s\nrouted:\n%s", pcfA.Bytes(), pcfB.Bytes())
+					for _, threads := range []int{1, 2} {
+						assertRoutedIdenticalToFlat(t, mustRunWorkload(t, testConfig(), mk(), iters, threads),
+							mustRunWorkload(t, numaConfig(1, policy), mk(), iters, threads))
 					}
 				})
 			}
 		})
+	}
+}
+
+// assertRoutedIdenticalToFlat compares a flat machine run with the same
+// run on a 1-socket routed machine, thread by thread and as PRV/PCF bytes.
+func assertRoutedIdenticalToFlat(t *testing.T, flat, routed *MachineWorkloadResult) {
+	t.Helper()
+	threads := flat.Machine.NThreads()
+	for th := 0; th < threads; th++ {
+		a := flat.Machine.Threads[th]
+		b := routed.Machine.Threads[th]
+		if x, y := a.Core.PMU().TrueSnapshot(), b.Core.PMU().TrueSnapshot(); x != y {
+			t.Errorf("%d threads, thread %d PMU: flat %v, routed %v", threads, th+1, x, y)
+		}
+		if x, y := a.Core.Cycles(), b.Core.Cycles(); x != y {
+			t.Errorf("%d threads, thread %d cycles: flat %d, routed %d", threads, th+1, x, y)
+		}
+		if x, y := a.Hier.Levels(), b.Hier.Levels(); x != y {
+			t.Fatalf("%d threads, thread %d levels: flat %d, routed %d", threads, th+1, x, y)
+		}
+		for lvl := 0; lvl < a.Hier.Levels(); lvl++ {
+			if x, y := a.Hier.LevelStats(lvl), b.Hier.LevelStats(lvl); x != y {
+				t.Errorf("%d threads, thread %d level %d: flat %+v, routed %+v", threads, th+1, lvl, x, y)
+			}
+		}
+		if b.Hier.RemoteDRAMAccesses() != 0 {
+			t.Errorf("%d threads, thread %d: 1-socket machine recorded remote fills", threads, th+1)
+		}
+		ra, rb := a.Mon.Records(), b.Mon.Records()
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("%d threads, thread %d trace records differ (%d vs %d)", threads, th+1, len(ra), len(rb))
+		}
+	}
+	prvA, pcfA := traceBytes(t, flat.Machine)
+	prvB, pcfB := traceBytes(t, routed.Machine)
+	if !bytes.Equal(prvA, prvB) {
+		t.Errorf("%d threads: PRV trace bytes differ", threads)
+	}
+	if !bytes.Equal(pcfA, pcfB) {
+		t.Errorf("%d threads: PCF label bytes differ:\nflat:\n%s\nrouted:\n%s", threads, pcfA, pcfB)
 	}
 }
 
@@ -95,10 +98,7 @@ func TestNUMASingleSocketIdenticalToMachine(t *testing.T) {
 func TestNUMATwoSocketInterleaveRemoteFills(t *testing.T) {
 	const iters, threads = 4, 4
 	run := func(policy numa.Policy) (*MachineWorkloadResult, uint64, uint64) {
-		res, err := RunWorkloadSequential(nil, numaConfig(2, policy), partitionedWorkloads()["stream"](), iters, threads)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := mustRunWorkload(t, numaConfig(2, policy), partitionedWorkloads()["stream"](), iters, threads)
 		var total, remote uint64
 		for _, th := range res.Machine.Threads {
 			total += th.Hier.DRAMAccesses()
@@ -149,15 +149,16 @@ func TestNUMATwoSocketInterleaveRemoteFills(t *testing.T) {
 	}
 }
 
-// TestNUMAConcurrentPlacement free-runs 4 goroutine-scheduled threads
-// against the 2-socket placement (concurrent first-touch assignment,
-// concurrent per-node accounting, LLC writeback routing under the shard
-// locks): the -race coverage for the NUMA layer. Totals must still
-// conserve regardless of the schedule.
+// TestNUMAConcurrentPlacement runs a 4-thread team solve on 2 sockets
+// (concurrent first-touch assignment, concurrent per-node accounting, LLC
+// writeback routing under the shard locks): the -race coverage for the
+// NUMA layer. Totals must still conserve regardless of the schedule.
 func TestNUMAConcurrentPlacement(t *testing.T) {
 	for _, policy := range []numa.Policy{numa.FirstTouch, numa.Interleave} {
 		t.Run(policy.String(), func(t *testing.T) {
-			res, err := RunWorkloadParallel(nil, numaConfig(2, policy), partitionedWorkloads()["random_access"](), 4, 4)
+			params := testHPCGParams()
+			params.MaxIters = 2
+			res, err := RunHPCGParallel(nil, numaConfig(2, policy), params, 4)
 			if err != nil {
 				t.Fatal(err)
 			}

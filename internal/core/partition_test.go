@@ -4,32 +4,34 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/folding"
 	"repro/internal/workloads"
 )
 
-// Partition-equivalence suite for the promoted workloads: a 1-thread
-// Machine run (RunPartition over the full element range, shared-L3 code
-// path) must be byte-identical to the plain Session run, and the N-thread
-// runs must stay -race clean while folding every thread. This extends
-// TestMachineSingleThreadIdenticalToSession/TestMachineStreamSingleThreadIdentical
-// to every PartitionedWorkload.
+// Partition-equivalence suite for the promoted workloads: RunWorkload on
+// one thread (one RunPartitionRange call per instance, through the
+// instance-boundary loop) must be byte-identical to w.Run on a Session,
+// and N-thread runs must fold every thread. This extends
+// TestMachineStreamSingleThreadIdentical to every partitioned workload.
 
 // partitionedWorkloads builds a fresh instance of every synthetic
 // partitioned workload at regression scale.
-func partitionedWorkloads() map[string]func() workloads.PartitionedWorkload {
-	return map[string]func() workloads.PartitionedWorkload{
-		"stream":        func() workloads.PartitionedWorkload { return workloads.NewStream(1 << 13) },
-		"random_access": func() workloads.PartitionedWorkload { return workloads.NewRandomAccess(1<<14, 3000, 11) },
-		"pointer_chase": func() workloads.PartitionedWorkload { return workloads.NewPointerChase(1<<12, 5) },
-		"matmul":        func() workloads.PartitionedWorkload { return workloads.NewMatMul(24) },
-		"spmv_csr":      func() workloads.PartitionedWorkload { return workloads.NewSpMV(12, 12, 12) },
+func partitionedWorkloads() map[string]func() workloads.ResumableWorkload {
+	return map[string]func() workloads.ResumableWorkload{
+		"stream":        func() workloads.ResumableWorkload { return workloads.NewStream(1 << 13) },
+		"random_access": func() workloads.ResumableWorkload { return workloads.NewRandomAccess(1<<14, 3000, 11) },
+		"pointer_chase": func() workloads.ResumableWorkload { return workloads.NewPointerChase(1<<12, 5) },
+		"matmul":        func() workloads.ResumableWorkload { return workloads.NewMatMul(24) },
+		"spmv_csr":      func() workloads.ResumableWorkload { return workloads.NewSpMV(12, 12, 12) },
 	}
 }
 
-func assertSessionMachineIdentical(t *testing.T, sess *RunWorkloadResult, mach *MachineWorkloadResult) {
+// assertSessionMachineIdentical compares a Session's w.Run with a
+// one-thread RunWorkload of the same workload and configuration.
+func assertSessionMachineIdentical(t *testing.T, s *Session, sf *folding.Folded, mach *MachineWorkloadResult) {
 	t.Helper()
 	mt := mach.Machine.Primary()
-	sRecs, mRecs := sess.Session.Mon.Records(), mt.Mon.Records()
+	sRecs, mRecs := s.Mon.Records(), mt.Mon.Records()
 	if len(sRecs) != len(mRecs) {
 		t.Fatalf("record count: session %d, machine %d", len(sRecs), len(mRecs))
 	}
@@ -38,24 +40,24 @@ func assertSessionMachineIdentical(t *testing.T, sess *RunWorkloadResult, mach *
 			t.Fatalf("record %d differs:\nsession: %+v\nmachine: %+v", i, sRecs[i], mRecs[i])
 		}
 	}
-	if a, b := sess.Session.Core.Cycles(), mt.Core.Cycles(); a != b {
+	if a, b := s.Core.Cycles(), mt.Core.Cycles(); a != b {
 		t.Errorf("cycles: session %d, machine %d", a, b)
 	}
-	if a, b := sess.Session.Core.PMU().TrueSnapshot(), mt.Core.PMU().TrueSnapshot(); a != b {
+	if a, b := s.Core.PMU().TrueSnapshot(), mt.Core.PMU().TrueSnapshot(); a != b {
 		t.Errorf("PMU totals: session %v, machine %v", a, b)
 	}
 	for i := 0; i < mt.Hier.Levels(); i++ {
-		if a, b := sess.Session.Hier.LevelStats(i), mt.Hier.LevelStats(i); a != b {
+		if a, b := s.Hier.LevelStats(i), mt.Hier.LevelStats(i); a != b {
 			t.Errorf("level %d stats: session %+v, machine %+v", i, a, b)
 		}
 	}
-	if a, b := sess.Session.Hier.DRAMAccesses(), mt.Hier.DRAMAccesses(); a != b {
+	if a, b := s.Hier.DRAMAccesses(), mt.Hier.DRAMAccesses(); a != b {
 		t.Errorf("DRAM accesses: session %d, machine %d", a, b)
 	}
-	if a, b := sess.Session.Mon.Engine().Stats(), mt.Mon.Engine().Stats(); a != b {
+	if a, b := s.Mon.Engine().Stats(), mt.Mon.Engine().Stats(); a != b {
 		t.Errorf("PEBS stats: session %+v, machine %+v", a, b)
 	}
-	sf, mf := sess.Folded, mach.Threads[0].Folded
+	mf := mach.Threads[0].Folded
 	if len(sf.Mem) == 0 || len(sf.Mem) != len(mf.Mem) {
 		t.Fatalf("folded samples: session %d, machine %d", len(sf.Mem), len(mf.Mem))
 	}
@@ -69,9 +71,10 @@ func assertSessionMachineIdentical(t *testing.T, sess *RunWorkloadResult, mach *
 	}
 }
 
-// TestPartitionSingleThreadIdenticalToSession pins Run == RunPartition(0,
-// Elements()) through the full stack for every partitioned workload, on
-// both the randomized-mux and deterministic configurations.
+// TestPartitionSingleThreadIdenticalToSession pins Run == RunPartitionRange
+// one instance at a time over (0, Elements()) through the full stack for
+// every partitioned workload, on both the randomized-mux and deterministic
+// configurations.
 func TestPartitionSingleThreadIdenticalToSession(t *testing.T) {
 	const iters = 6
 	for name, mk := range partitionedWorkloads() {
@@ -84,55 +87,25 @@ func TestPartitionSingleThreadIdenticalToSession(t *testing.T) {
 				{"deterministic", testConfig},
 			} {
 				t.Run(mode.name, func(t *testing.T) {
-					sess, err := RunWorkload(mode.cfg(), mk(), iters)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mach, err := RunWorkloadParallel(nil, mode.cfg(), mk(), iters, 1)
-					if err != nil {
-						t.Fatal(err)
-					}
-					assertSessionMachineIdentical(t, sess, mach)
+					s, sf := sessionRun(t, mode.cfg(), mk(), iters)
+					mach := mustRunWorkload(t, mode.cfg(), mk(), iters, 1)
+					assertSessionMachineIdentical(t, s, sf, mach)
 				})
 			}
 		})
 	}
 }
 
-// TestPartitionSequentialMatchesParallelSingleThread pins the deterministic
-// sequential schedule to the goroutine schedule where they must coincide
-// exactly: one thread.
-func TestPartitionSequentialMatchesParallelSingleThread(t *testing.T) {
-	cfg := testConfig()
-	mk := func() workloads.PartitionedWorkload { return workloads.NewSpMV(8, 8, 8) }
-	par, err := RunWorkloadParallel(nil, cfg, mk(), 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := RunWorkloadSequential(nil, cfg, mk(), 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := par.Machine.Primary().Mon.Records(), seq.Machine.Primary().Mon.Records()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("sequential and parallel 1-thread runs differ: %d vs %d records", len(a), len(b))
-	}
-}
-
-// TestPartitionFourThreads free-runs every partitioned workload across 4
-// concurrent cores: this is the -race coverage for the promoted
-// RunPartition implementations (disjoint writes, shared read-only state,
-// sharded L3). Every thread must fold instances of its own block.
+// TestPartitionFourThreads runs every partitioned workload across 4 cores
+// sharing the L3 (disjoint writes, shared read-only state, sharded L3).
+// Every thread must fold instances of its own block.
 func TestPartitionFourThreads(t *testing.T) {
 	const threads = 4
 	cfg := testConfig()
 	cfg.Monitor.PEBS.Period = 60
 	for name, mk := range partitionedWorkloads() {
 		t.Run(name, func(t *testing.T) {
-			res, err := RunWorkloadParallel(nil, cfg, mk(), 4, threads)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := mustRunWorkload(t, cfg, mk(), 4, threads)
 			if len(res.Threads) != threads {
 				t.Fatalf("folded threads = %d", len(res.Threads))
 			}
@@ -146,23 +119,19 @@ func TestPartitionFourThreads(t *testing.T) {
 }
 
 // TestPartitionResultsCorrect checks the numerical results survive
-// concurrent partitioning: the triad and SpMV outputs match their closed
-// forms after a 4-thread run.
+// partitioning: the triad and SpMV outputs match their closed forms after
+// a 4-thread run.
 func TestPartitionResultsCorrect(t *testing.T) {
 	cfg := testConfig()
 	st := workloads.NewStream(1 << 13)
-	if _, err := RunWorkloadParallel(nil, cfg, st, 3, 4); err != nil {
-		t.Fatal(err)
-	}
+	mustRunWorkload(t, cfg, st, 3, 4)
 	for i := 0; i < st.N; i += 97 {
 		if st.Value(i) != st.Expected(i) {
 			t.Fatalf("triad wrong at %d: %g != %g", i, st.Value(i), st.Expected(i))
 		}
 	}
 	sp := workloads.NewSpMV(12, 12, 12)
-	if _, err := RunWorkloadParallel(nil, cfg, sp, 2, 4); err != nil {
-		t.Fatal(err)
-	}
+	mustRunWorkload(t, cfg, sp, 2, 4)
 	for i := 0; i < sp.Rows(); i += 53 {
 		if sp.Value(i) != sp.Expected(i) {
 			t.Fatalf("spmv wrong at row %d: %g != %g", i, sp.Value(i), sp.Expected(i))

@@ -12,28 +12,11 @@ import (
 // identical instruction stream. The readers below are plain accessor calls
 // and atomic stores: no allocation, no wall clock.
 
-// ObserveProgress publishes the session's cycle, instruction and per-level
-// cache totals plus the completed-instance count.
-//
-//repro:noalloc
-func (s *Session) ObserveProgress(p *telemetry.Progress, done uint64) {
-	p.SetInstances(done)
-	p.SetCPU(s.Core.Cycles(), s.Core.PMU().True(cpu.CtrInstructions))
-	n := s.Hier.Levels()
-	if n > telemetry.ProgressLevels {
-		n = telemetry.ProgressLevels
-	}
-	p.SetLevelCount(n)
-	for i := 0; i < n; i++ {
-		st := s.Hier.LevelStats(i)
-		p.SetLevel(i, st.Hits, st.Misses)
-	}
-}
-
 // ObserveProgress publishes machine-wide totals: cycles and instructions
 // summed over threads, and per-level hit/fill counts summed over each
 // thread's view of its hierarchy (the shared-L3 level reports each thread's
-// own accesses, so the sum is the machine total).
+// own accesses, so the sum is the machine total), plus the
+// completed-instance count.
 //
 //repro:noalloc
 func (m *Machine) ObserveProgress(p *telemetry.Progress, done uint64) {
@@ -63,29 +46,11 @@ func (m *Machine) ObserveProgress(p *telemetry.Progress, done uint64) {
 	}
 }
 
-// checkpoints reports whether the checkpointer actually snapshots or
-// resumes, as opposed to carrying only a Progress mailbox. Checkpointing
-// constrains the run (resumable workloads, sequential schedule); progress
-// observation does not, so the run entry points gate their capability
-// checks on this rather than on ck != nil. Safe on a nil receiver.
-func (ck *Checkpointer) checkpoints() bool {
-	return ck != nil && (ck.Every > 0 || ck.Sink != nil || ck.Resume != nil || ck.Demand != nil)
-}
-
-// observeSession publishes session progress when a mailbox is attached;
-// safe on a nil receiver so run loops call it unconditionally.
+// observe publishes the machine's progress when a mailbox is attached;
+// safe on a nil receiver so the run loop calls it unconditionally.
 //
 //repro:noalloc
-func (ck *Checkpointer) observeSession(s *Session, done int) {
-	if ck != nil && ck.Progress != nil {
-		s.ObserveProgress(ck.Progress, uint64(done))
-	}
-}
-
-// observeMachine is observeSession for machine runs.
-//
-//repro:noalloc
-func (ck *Checkpointer) observeMachine(m *Machine, done int) {
+func (ck *Checkpointer) observe(m *Machine, done int) {
 	if ck != nil && ck.Progress != nil {
 		m.ObserveProgress(ck.Progress, uint64(done))
 	}

@@ -10,10 +10,7 @@ import (
 // end to end: reuse distances and hybrid-memory advice computed from a
 // monitored HPCG run.
 func TestReusePipelineOnHPCG(t *testing.T) {
-	run, err := RunHPCG(testConfig(), testHPCGParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := runHPCG(t, testConfig(), testHPCGParams())
 	an, err := reuse.FromFolded(run.Folded, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -64,10 +61,7 @@ func TestReusePipelineOnHPCG(t *testing.T) {
 // the mechanism that separates the multigrid coarse work (region C) from
 // the fine smoother sharing its code.
 func TestPhaseIPUsesInstrumentedFrame(t *testing.T) {
-	run, err := RunHPCG(testConfig(), testHPCGParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := runHPCG(t, testConfig(), testHPCGParams())
 	s := run.Session
 	mgFn, ok := s.Bin.Function("ComputeMG_ref")
 	if !ok {

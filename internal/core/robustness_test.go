@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,7 +58,7 @@ func asRunError(t *testing.T, err error) *RunError {
 func TestSessionCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := RunWorkloadCheckpointed(ctx, testConfig(), workloads.NewStream(1<<10), 4, nil)
+	res, err := RunWorkload(ctx, testConfig(), workloads.NewStream(1<<10), 4, 1, nil)
 	rerr := asRunError(t, err)
 	if !errors.Is(rerr.Cause, context.Canceled) {
 		t.Errorf("cause = %v, want context.Canceled", rerr.Cause)
@@ -73,7 +74,7 @@ func TestSessionCancellation(t *testing.T) {
 func TestInjectedInstanceFault(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Enable(faultinject.PointInstance, 3, nil)
-	res, err := RunWorkloadCheckpointed(nil, testConfig(), workloads.NewStream(1<<10), 6, nil)
+	res, err := RunWorkload(nil, testConfig(), workloads.NewStream(1<<10), 6, 1, nil)
 	rerr := asRunError(t, err)
 	if !errors.Is(rerr.Cause, faultinject.ErrInjected) {
 		t.Errorf("cause = %v, want ErrInjected", rerr.Cause)
@@ -84,7 +85,7 @@ func TestInjectedInstanceFault(t *testing.T) {
 	if res == nil || !res.Partial {
 		t.Fatalf("partial result missing or unmarked")
 	}
-	if res.Folded == nil {
+	if len(res.Threads) != 1 {
 		t.Errorf("two completed instances should still fold")
 	}
 }
@@ -94,7 +95,7 @@ func TestCheckpointSinkFault(t *testing.T) {
 	faultinject.Enable(faultinject.PointCheckpoint, 1, nil)
 	cfg := testConfig()
 	ck := &Checkpointer{Every: 2, Tag: CheckpointTag("stream_triad", 1, cfg)}
-	_, err := RunWorkloadCheckpointed(nil, cfg, workloads.NewStream(1<<10), 6, ck)
+	_, err := RunWorkload(nil, cfg, workloads.NewStream(1<<10), 6, 1, ck)
 	if err == nil || !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected checkpoint failure", err)
 	}
@@ -111,14 +112,14 @@ func TestResumeTagMismatch(t *testing.T) {
 		Tag:   CheckpointTag("stream_triad", 1, cfg),
 		Sink:  func(s *checkpoint.Snapshot) error { last = s; return nil },
 	}
-	if _, err := RunWorkloadCheckpointed(nil, cfg, workloads.NewStream(1<<10), 4, ck); err != nil {
+	if _, err := RunWorkload(nil, cfg, workloads.NewStream(1<<10), 4, 1, ck); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 	if last == nil {
 		t.Fatal("no snapshot emitted")
 	}
 	bad := &Checkpointer{Tag: CheckpointTag("other", 1, cfg), Resume: last}
-	if _, err := RunWorkloadCheckpointed(nil, cfg, workloads.NewStream(1<<10), 4, bad); err == nil {
+	if _, err := RunWorkload(nil, cfg, workloads.NewStream(1<<10), 4, 1, bad); err == nil {
 		t.Fatal("tag mismatch accepted")
 	}
 }
@@ -190,11 +191,11 @@ func TestKillResumeSessionByteExact(t *testing.T) {
 			Write(p []byte) (int, error)
 		}) error
 	}, error) {
-		res, err := RunWorkloadCheckpointed(nil, cfg, workloads.NewStream(1<<12), 6, ck)
+		res, err := RunWorkload(nil, cfg, workloads.NewStream(1<<12), 6, 1, ck)
 		if err != nil {
 			return nil, err
 		}
-		return res.Session, nil
+		return res.Machine, nil
 	})
 	checkByteExact(t, g1, g2, r1, r2)
 }
@@ -210,7 +211,7 @@ func TestKillResumeMachineByteExact(t *testing.T) {
 		}) error
 	}, error) {
 		w := workloads.NewRandomAccess(1<<12, 1<<10, 7)
-		res, err := RunWorkloadSequentialCheckpointed(nil, cfg, w, 4, 2, ck)
+		res, err := RunWorkload(nil, cfg, w, 4, 2, ck)
 		if err != nil {
 			return nil, err
 		}
@@ -244,47 +245,6 @@ func TestKillResumeHPCGByteExact(t *testing.T) {
 	// killed run errors before appending).
 	if got, want := histories[len(histories)-1], histories[0]; got != want {
 		t.Errorf("resumed CG residual history differs:\ngolden  %s\nresumed %s", want, got)
-	}
-}
-
-// panickyWorkload panics on the first non-primary partition: the concurrent
-// driver must contain the panic, convert it to a RunError and exit all
-// goroutines instead of deadlocking the remaining threads.
-type panickyWorkload struct {
-	*workloads.Stream
-}
-
-func (p *panickyWorkload) RunPartitionRange(ctx *workloads.Ctx, startIter, endIter, lo, hi int) error {
-	if lo != 0 {
-		panic("injected kernel panic")
-	}
-	return p.Stream.RunPartitionRange(ctx, startIter, endIter, lo, hi)
-}
-
-func TestConcurrentPanicContainment(t *testing.T) {
-	type outcome struct {
-		res *MachineWorkloadResult
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := RunWorkloadParallel(nil, testConfig(), &panickyWorkload{workloads.NewStream(1 << 12)}, 3, 4)
-		done <- outcome{res, err}
-	}()
-	select {
-	case out := <-done:
-		rerr := asRunError(t, out.err)
-		if rerr.Thread < 2 {
-			t.Errorf("panic attributed to thread %d, want a secondary thread", rerr.Thread)
-		}
-		if !strings.Contains(rerr.Cause.Error(), "panic") {
-			t.Errorf("cause should identify the panic: %v", rerr.Cause)
-		}
-		if out.res == nil || !out.res.Partial {
-			t.Errorf("partial result missing or unmarked")
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("parallel run deadlocked after worker panic")
 	}
 }
 
@@ -352,14 +312,14 @@ func demandAfter(n int) func() bool {
 func TestDemandCheckpointResumeByteExact(t *testing.T) {
 	cfg := testConfig()
 	tag := CheckpointTag("stream_triad", 1, cfg)
-	run := func(ck *Checkpointer) (*RunWorkloadResult, error) {
-		return RunWorkloadCheckpointed(nil, cfg, workloads.NewStream(1<<12), 6, ck)
+	run := func(ck *Checkpointer) (*MachineWorkloadResult, error) {
+		return RunWorkload(nil, cfg, workloads.NewStream(1<<12), 6, 1, ck)
 	}
 	golden, err := run(nil)
 	if err != nil {
 		t.Fatalf("golden run: %v", err)
 	}
-	goldenPRV, goldenPCF := traceBytes(t, golden.Session)
+	goldenPRV, goldenPCF := traceBytes(t, golden.Machine)
 
 	var snap *checkpoint.Snapshot
 	ck := &Checkpointer{
@@ -388,7 +348,7 @@ func TestDemandCheckpointResumeByteExact(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
-	resumedPRV, resumedPCF := traceBytes(t, resumed.Session)
+	resumedPRV, resumedPCF := traceBytes(t, resumed.Machine)
 	checkByteExact(t, goldenPRV, goldenPCF, resumedPRV, resumedPCF)
 }
 
@@ -400,7 +360,7 @@ func TestDemandCheckpointMachineAndHPCG(t *testing.T) {
 		tag := CheckpointTag("random_access", 2, cfg)
 		run := func(ck *Checkpointer) (*MachineWorkloadResult, error) {
 			w := workloads.NewRandomAccess(1<<12, 1<<10, 7)
-			return RunWorkloadSequentialCheckpointed(nil, cfg, w, 4, 2, ck)
+			return RunWorkload(nil, cfg, w, 4, 2, ck)
 		}
 		golden, err := run(nil)
 		if err != nil {
@@ -451,5 +411,66 @@ func TestDemandCheckpointMachineAndHPCG(t *testing.T) {
 		}
 		rPRV, rPCF := traceBytes(t, resumed.Session)
 		checkByteExact(t, goldenPRV, goldenPCF, rPRV, rPCF)
+	}
+}
+
+// TestPeriodicSnapshotCadenceAfterResume pins the periodic snapshots to
+// the schedule, not to the resume point: a 2-thread, 4-iteration run
+// resumed from a demand snapshot at (thread 0, iter 1) with Every 2 must
+// emit the uninterrupted run's later snapshots, at the same cursors and
+// byte for byte.
+func TestPeriodicSnapshotCadenceAfterResume(t *testing.T) {
+	cfg := testConfig()
+	tag := CheckpointTag("random_access", 2, cfg)
+	// run executes the schedule under ck and returns the encoded
+	// snapshots it emits, keyed by cursor in emission order.
+	type emitted struct {
+		cur checkpoint.Cursor
+		enc []byte
+	}
+	run := func(ck *Checkpointer) []emitted {
+		t.Helper()
+		var out []emitted
+		ck.Tag = tag
+		ck.Sink = func(s *checkpoint.Snapshot) error {
+			var buf bytes.Buffer
+			if err := checkpoint.Write(&buf, s); err != nil {
+				return err
+			}
+			out = append(out, emitted{s.Cursor, buf.Bytes()})
+			return nil
+		}
+		_, err := RunWorkload(nil, cfg, workloads.NewRandomAccess(1<<12, 1<<10, 7), 4, 2, ck)
+		if err != nil && !errors.Is(err, ErrCheckpointDemanded) {
+			t.Fatal(err)
+		}
+		return out
+	}
+	want := run(&Checkpointer{Every: 2})
+	var wantCur []checkpoint.Cursor
+	for _, e := range want {
+		wantCur = append(wantCur, e.cur)
+	}
+	if !slices.Equal(wantCur, []checkpoint.Cursor{{Thread: 0, Iter: 2}, {Thread: 1, Iter: 0}, {Thread: 1, Iter: 2}}) {
+		t.Fatalf("uninterrupted run snapshots at %v", wantCur)
+	}
+	stop := run(&Checkpointer{Demand: demandAfter(2)})
+	if len(stop) != 1 || stop[0].cur != (checkpoint.Cursor{Iter: 1}) {
+		t.Fatalf("demand stop emitted %d snapshots, want one at (thread 0, iter 1)", len(stop))
+	}
+	snap, err := checkpoint.Read(bytes.NewReader(stop[0].enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := run(&Checkpointer{Every: 2, Resume: snap})
+	if len(got) != len(want) {
+		t.Fatalf("resumed run emitted %d snapshots, uninterrupted run %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].cur != want[i].cur {
+			t.Errorf("resumed snapshot %d at %+v, uninterrupted at %+v", i, got[i].cur, want[i].cur)
+		} else if !bytes.Equal(got[i].enc, want[i].enc) {
+			t.Errorf("resumed snapshot at %+v differs from the uninterrupted one", got[i].cur)
+		}
 	}
 }

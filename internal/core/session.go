@@ -7,7 +7,6 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/cpu"
@@ -15,9 +14,6 @@ import (
 	"repro/internal/folding"
 	"repro/internal/memhier"
 	"repro/internal/numa"
-	"repro/internal/prog"
-	"repro/internal/trace"
-	"repro/internal/workloads"
 )
 
 // defaultHeapBase mirrors the 0x2adf… heap addresses visible in the
@@ -36,15 +32,15 @@ type Config struct {
 	// Folding configures the analysis.
 	Folding folding.Config
 	// NUMA configures the multi-socket topology of a Machine. Sockets == 0
-	// (the default) builds the flat single-L3 machine with no placement
-	// layer — the historical configuration, byte-identical to every
-	// pre-NUMA run. Sockets >= 1 routes all DRAM fills through a
-	// page-granular placement: cores are grouped into contiguous socket
-	// blocks, each socket gets its own shared L3 and memory node, and
-	// fills whose home node is another socket are charged the remote
-	// latency and labelled SrcDRAMRemote. A 1-socket routed Machine is
-	// byte-identical to the flat Machine (pinned by the partition suite).
-	// Sessions ignore this field: NUMA runs go through a Machine.
+	// (the default) builds the flat machine with no placement layer — the
+	// historical configuration, byte-identical to every pre-NUMA run: one
+	// shared L3, or a private one when the machine has a single thread.
+	// Sockets >= 1 routes all DRAM fills through a page-granular
+	// placement: cores are grouped into contiguous socket blocks, each
+	// socket gets its own shared L3 and memory node, and fills whose home
+	// node is another socket are charged the remote latency and labelled
+	// SrcDRAMRemote. A 1-socket routed Machine is byte-identical to the
+	// flat Machine (pinned by the partition suite).
 	NUMA numa.Config
 	// HeapBase is the simulated heap base address.
 	HeapBase uint64
@@ -72,19 +68,16 @@ func DefaultConfig() Config {
 	}
 }
 
-// Session is an assembled simulated machine with monitoring attached.
+// Session is a one-thread Machine seen as a single simulated core: the
+// machine's binary, address space and trace writer next to its only
+// thread's hierarchy, core and monitor.
 type Session struct {
-	Cfg  Config
-	Hier *memhier.Hierarchy
-	Core *cpu.Core
-	Bin  *prog.Binary
-	AS   *prog.AddressSpace
-	Mon  *extrae.Monitor
+	*Machine
+	*MachineThread
 }
 
 // applyReference expands the Reference shorthand into the concrete
-// per-operation knobs of the sub-configurations (shared by Session and
-// Machine so the two assemble identical reference stacks).
+// per-operation knobs of the sub-configurations.
 func applyReference(cfg Config) Config {
 	if cfg.Reference {
 		cfg.CPU.PerOpStreams = true
@@ -93,24 +86,13 @@ func applyReference(cfg Config) Config {
 	return cfg
 }
 
-// NewSession builds the stack.
+// NewSession builds the stack: a one-thread Machine.
 func NewSession(cfg Config) (*Session, error) {
-	cfg = applyReference(cfg)
-	hier, err := memhier.New(cfg.Cache)
+	m, err := NewMachine(cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	c, err := cpu.New(cfg.CPU, hier)
-	if err != nil {
-		return nil, err
-	}
-	bin := prog.NewBinary()
-	as := prog.NewAddressSpace(heapBase(cfg))
-	mon, err := extrae.New(cfg.Monitor, c, bin, as)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{Cfg: cfg, Hier: hier, Core: c, Bin: bin, AS: as, Mon: mon}, nil
+	return &Session{m, m.Primary()}, nil
 }
 
 // heapBase resolves the configured heap base, randomizing it by up to
@@ -128,124 +110,7 @@ func heapBase(cfg Config) uint64 {
 	return base
 }
 
-// Ctx returns the workload-facing view of the session.
-func (s *Session) Ctx() *workloads.Ctx {
-	return &workloads.Ctx{Core: s.Core, Mon: s.Mon, Bin: s.Bin}
-}
-
-// FuncOf resolves an instruction pointer to its function name ("" when
-// unknown); used to label folded phases.
-func (s *Session) FuncOf(ip uint64) string {
-	if loc, ok := s.Bin.Lookup(ip); ok {
-		return loc.Function
-	}
-	return ""
-}
-
-// foldInstances is the shared folding tail of Session.Fold and
-// Machine.Fold: bind the config defaults — FuncOf resolves through the
-// binary, PhaseIP attributes samples taken under an instrumented call
-// frame to the outermost frame of the emitting monitor's stack table
-// (e.g. the multigrid coarse-level smoother runs the same code as the
-// fine smoother, but belongs to ComputeMG_ref) — then fold and label.
-func foldInstances(instances []folding.Instance, cfg folding.Config, region extrae.Region,
-	funcOf func(ip uint64) string, mon *extrae.Monitor) (*folding.Folded, error) {
-	if cfg.FuncOf == nil {
-		cfg.FuncOf = funcOf
-	}
-	if cfg.PhaseIP == nil {
-		cfg.PhaseIP = func(smp *trace.Event) uint64 {
-			if frames := mon.Stacks().Frames(smp.StackID); len(frames) > 0 {
-				return frames[len(frames)-1]
-			}
-			return smp.IP
-		}
-	}
-	folded, err := folding.Fold(instances, cfg)
-	if err != nil {
-		return nil, err
-	}
-	folded.Region = int64(region)
-	folded.LabelPhases(funcOf)
-	return folded, nil
-}
-
-// Fold extracts and folds the named region from the monitor's trace.
+// Fold extracts and folds the named region from the session's trace.
 func (s *Session) Fold(region extrae.Region) (*folding.Folded, error) {
-	instances, err := folding.Extract(s.Mon.Log(), int64(region))
-	if err != nil {
-		return nil, err
-	}
-	if len(instances) == 0 {
-		return nil, fmt.Errorf("core: no instances of region %q in trace", s.Mon.RegionName(region))
-	}
-	return foldInstances(instances, s.Cfg.Folding, region, s.FuncOf, s.Mon)
-}
-
-// RunWorkloadResult bundles a monitored workload run with its folding.
-type RunWorkloadResult struct {
-	Session *Session
-	Folded  *folding.Folded
-	// Partial marks a run stopped before completion; Folded may be nil if
-	// no instance finished.
-	Partial bool
-}
-
-// RunWorkload sets up, monitors and folds a synthetic workload: the
-// quickstart pipeline.
-func RunWorkload(cfg Config, w workloads.Workload, iters int) (*RunWorkloadResult, error) {
-	s, err := NewSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctx := s.Ctx()
-	if err := w.Setup(ctx); err != nil {
-		return nil, err
-	}
-	s.Mon.Start()
-	if err := w.Run(ctx, iters); err != nil {
-		return nil, err
-	}
-	s.Mon.Stop()
-	folded, err := s.Fold(w.Region())
-	if err != nil {
-		return nil, err
-	}
-	return &RunWorkloadResult{Session: s, Folded: folded}, nil
-}
-
-// WriteTrace serializes the session's trace and labels to the writers
-// (PRV-style text and PCF).
-func (s *Session) WriteTrace(prv, pcf interface {
-	Write(p []byte) (int, error)
-}) error {
-	log := s.Mon.Log()
-	var dur uint64
-	if log.Len() > 0 {
-		dur = log.Last().TimeNs
-	}
-	w, err := trace.NewWriter(prv, 1, 1, dur)
-	if err != nil {
-		return err
-	}
-	rec := trace.Record{Task: s.Mon.Task(), Thread: s.Mon.Thread()}
-	for _, c := range log.Chunks() {
-		for i := range c {
-			if err := writeEvent(w, &rec, &c[i]); err != nil {
-				return err
-			}
-		}
-	}
-	if err := w.Close(); err != nil {
-		return err
-	}
-	return s.Mon.Labels().WritePCF(pcf)
-}
-
-// writeEvent renders e into rec, whose task and thread are set and whose
-// pair buffer is reused from event to event, and writes it.
-func writeEvent(w *trace.Writer, rec *trace.Record, e *trace.Event) error {
-	rec.TimeNs = e.TimeNs
-	rec.Pairs = e.AppendPairs(rec.Pairs[:0])
-	return w.Write(*rec)
+	return s.Machine.Fold(region, 1)
 }

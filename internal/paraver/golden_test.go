@@ -146,7 +146,7 @@ func TestMachineTraceGolden(t *testing.T) {
 	cfg.Monitor.PEBS.Period = 600
 	cfg.Monitor.PEBS.Randomize = false
 	cfg.Monitor.PEBS.LatencyThreshold = 0
-	res, err := core.RunWorkloadSequential(nil, cfg, workloads.NewStream(1<<12), 3, 2)
+	res, err := core.RunWorkload(nil, cfg, workloads.NewStream(1<<12), 3, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestNUMATraceGolden(t *testing.T) {
 		{Name: "L3", Size: 128 << 10, LineSize: 64, Assoc: 8, HitLatency: 36},
 	}
 	cfg.NUMA = numa.Config{Sockets: 2, Policy: numa.Interleave}
-	res, err := core.RunWorkloadSequential(nil, cfg, workloads.NewStream(1<<13), 3, 2)
+	res, err := core.RunWorkload(nil, cfg, workloads.NewStream(1<<13), 3, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -331,11 +331,6 @@ func objectMetrics(objs []*objects.Object, placement *numa.Placement) []ObjectMe
 	return out
 }
 
-// sessionMetrics collects the single-thread (Session) view.
-func sessionMetrics(s *core.Session, folded *folding.Folded, levelNames []string) ThreadMetrics {
-	return threadMetrics(1, s.Core, s.Hier, s.Mon.Engine().Stats(), s.Mon.Log().Len(), folded, levelNames)
-}
-
 // machineMetrics collects per-thread metrics, the shared-L3 aggregate
 // (single-socket machines) and the NUMA breakdown (routed machines).
 func machineMetrics(m *core.Machine, foldedOf func(thread int) *folding.Folded, levelNames []string) ([]ThreadMetrics, *LevelMetrics, *NUMAMetrics) {
@@ -345,11 +340,12 @@ func machineMetrics(m *core.Machine, foldedOf func(thread int) *folding.Folded, 
 			th.Mon.Log().Len(), foldedOf(i+1), levelNames))
 	}
 	var shared *LevelMetrics
-	if m.Sockets == 1 && m.Placement == nil {
-		// Flat machine: the single L3 goes in shared_l3. Routed machines
-		// (any socket count) report their L3s in the NUMA section instead
-		// — never both, so the two fields cannot drift apart.
-		llc := levelMetrics(m.L3.Config().Name+" (shared)", m.L3.Stats())
+	if len(m.L3s) == 1 && m.Placement == nil {
+		// Flat shared-L3 machine: the L3 goes in shared_l3. Routed
+		// machines (any socket count) report their L3s in the NUMA section
+		// instead — never both, so the two fields cannot drift apart — and
+		// the one-thread flat machine's L3 is private, a per-thread level.
+		llc := levelMetrics(m.L3s[0].Config().Name+" (shared)", m.L3s[0].Stats())
 		shared = &llc
 	}
 	return out, shared, numaMetrics(m)

@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -94,6 +96,55 @@ func TestKillAndResumeMatchesGolden(t *testing.T) {
 				t.Errorf("resumed metrics differ from golden %s (%d vs %d bytes)", tc.name, len(got), len(golden))
 			}
 		})
+	}
+}
+
+// TestResumeSessionCheckpointMatchesGolden resumes a checkpoint written
+// while single-thread runs still had their own Session driver (`simrun
+// -run stream_triad_smallcache_1t -checkpoint-every 2 -checkpoint`, whose
+// latest snapshot sits at iteration 8; gzipped): the resumed metrics must
+// equal the golden. Snapshots parked by simd and simrun -checkpoint files
+// written by those versions must keep resuming, so the one-thread machine
+// keeps that snapshot's shape — one thread, a private L3, no shared cache.
+func TestResumeSessionCheckpointMatchesGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("goldens are amd64-generated; FMA fusion on %s perturbs float64 reductions", runtime.GOARCH)
+	}
+	const name = "stream_triad_smallcache_1t"
+	f, err := os.Open(filepath.Join("testdata", name+".ck.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := checkpoint.Read(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Cursor != (checkpoint.Cursor{Iter: 8}) || len(snap.Threads) != 1 || len(snap.L3s) != 0 {
+		t.Fatalf("fixture snapshot at %+v with %d threads and %d shared caches", snap.Cursor, len(snap.Threads), len(snap.L3s))
+	}
+	sc, ok := Get(name)
+	if !ok {
+		t.Fatalf("scenario %q not registered", name)
+	}
+	m, err := Run(sc, Options{Resume: snap})
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	got, err := m.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, golden) {
+		t.Errorf("resumed metrics differ from golden %s (%d vs %d bytes)", name, len(got), len(golden))
 	}
 }
 

@@ -9,8 +9,8 @@
 //
 // Determinism is by construction: sampling randomization is seeded, the
 // simulated clocks are integer cycle counters, and multi-thread scenarios
-// run under core.RunWorkloadSequential's fixed schedule (thread t completes
-// before thread t+1 starts), which fixes the shared-L3 fill order that a
+// run under core.RunWorkload's fixed schedule (thread t completes before
+// thread t+1 starts), which fixes the shared-L3 fill order that a
 // goroutine schedule would leave to the Go runtime. cmd/simrun is the CLI
 // front end; hpcgrepro remains the concurrent-schedule reproduction tool.
 package scenario
@@ -64,7 +64,7 @@ type Scenario struct {
 	// ("first-touch", "interleave"; "" = first-touch).
 	Placement string
 	// Workload builds the kernel; nil for HPCG scenarios.
-	Workload func() workloads.PartitionedWorkload
+	Workload func() workloads.ResumableWorkload
 	// HPCG, when non-nil, makes this an HPCG reproduction scenario.
 	HPCG *hpcg.Params
 }
@@ -105,7 +105,7 @@ type Options struct {
 	Resume *checkpoint.Snapshot
 	// Progress, when non-nil, receives live instance/cycle/cache counters
 	// at the run's existing instance boundaries (atomic stores only — see
-	// core.Session.ObserveProgress). Unlike checkpointing it imposes no
+	// core.Machine.ObserveProgress). Unlike checkpointing it imposes no
 	// schedule constraints: any scenario accepts it, and paths without
 	// instance boundaries (the NUMA parallel HPCG solve) simply leave the
 	// mailbox at its totals. Progress never appears in Metrics, so observed
@@ -237,11 +237,11 @@ func SkipReason(sc Scenario, opts Options) string {
 
 // CheckpointSupported reports whether Run(sc, opts) accepts a Checkpointer
 // (periodic, demand or resume): the deterministic instance-boundary
-// schedules — sequential workload runs (the built-in workloads are all
-// ResumableWorkload) and flat HPCG. The NUMA HPCG path runs the 1-worker
-// parallel solve, which has no instance-boundary snapshot point. A server
-// consults this before attaching a drain checkpointer to a job; jobs on
-// unsupported paths are cancelled at the drain deadline instead.
+// schedules — every workload run and flat HPCG. The NUMA HPCG path runs
+// the 1-worker parallel solve, which has no instance-boundary snapshot
+// point. A server consults this before attaching a drain checkpointer to
+// a job; jobs on unsupported paths are cancelled at the drain deadline
+// instead.
 func CheckpointSupported(sc Scenario, opts Options) bool {
 	sockets := sc.Sockets
 	if opts.Machine != nil {
@@ -250,11 +250,7 @@ func CheckpointSupported(sc Scenario, opts Options) bool {
 	if opts.Sockets > 0 {
 		sockets = opts.Sockets
 	}
-	if sc.HPCG != nil {
-		return sockets == 0
-	}
-	_, resumable := sc.Workload().(workloads.ResumableWorkload)
-	return resumable
+	return sc.HPCG == nil || sockets == 0
 }
 
 // registry holds the scenarios in registration order; names is the
@@ -432,8 +428,8 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 			if wantCheckpoint {
 				return nil, fmt.Errorf("scenario %q: checkpointing is not supported on the NUMA HPCG path (the barrier-coupled parallel solve has no instance-boundary snapshot point)", sc.Name)
 			}
-			// The 1-worker parallel solve is deterministic (one goroutine)
-			// and runs on a Machine, which is what carries the NUMA layer.
+			// NUMA HPCG runs the 1-worker team solve: deterministic (one
+			// goroutine), but with no instance-boundary snapshot point.
 			run, err := core.RunHPCGParallel(opts.Context, cfg, *sc.HPCG, 1)
 			if err != nil {
 				if rerr := asRunError(err); rerr != nil && run != nil {
@@ -442,13 +438,7 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 				}
 				return nil, err
 			}
-			m.CG = cgMetrics(run.CG)
-			mach := run.Machine
-			folded := func(thread int) *folding.Folded { return run.Threads[thread-1].Folded }
-			m.PerThread, m.SharedL3, m.NUMA = machineMetrics(mach, folded, levelNames)
-			m.PerThread[0].Phases = paperPhaseMetrics(run.Threads[0].Paper,
-				mach.Primary().Hier.RemoteDRAMPossible())
-			m.Objects = objectMetrics(mach.Primary().Mon.Registry().Objects(), mach.Placement)
+			hpcgMetrics(m, run.Machine, run.CG, run.Threads[0].Folded, run.Threads[0].Paper, levelNames)
 			return m, nil
 		}
 		run, err := core.RunHPCGCheckpointed(opts.Context, cfg, *sc.HPCG, ck)
@@ -462,30 +452,13 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 			}
 			return nil, err
 		}
-		m.CG = cgMetrics(run.CG)
-		m.Objects = objectMetrics(run.Session.Mon.Registry().Objects(), nil)
-		tm := sessionMetrics(run.Session, run.Folded, levelNames)
-		tm.Phases = paperPhaseMetrics(run.Paper, false)
-		m.PerThread = []ThreadMetrics{tm}
+		hpcgMetrics(m, run.Session.Machine, run.CG, run.Folded, run.Paper, levelNames)
 		return m, nil
 	}
 
 	w := sc.Workload()
 	m.Workload = w.Name()
-	if threads == 1 && !numaOn {
-		res, err := core.RunWorkloadCheckpointed(opts.Context, cfg, w, sc.Iters, ck)
-		if err != nil {
-			if rerr := asRunError(err); rerr != nil && res != nil {
-				markPartial(m, rerr)
-				return m, err
-			}
-			return nil, err
-		}
-		m.PerThread = []ThreadMetrics{sessionMetrics(res.Session, res.Folded, levelNames)}
-		m.Objects = objectMetrics(res.Session.Mon.Registry().Objects(), nil)
-		return m, nil
-	}
-	res, err := core.RunWorkloadSequentialCheckpointed(opts.Context, cfg, w, sc.Iters, threads, ck)
+	res, err := core.RunWorkload(opts.Context, cfg, w, sc.Iters, threads, ck)
 	if err != nil {
 		if rerr := asRunError(err); rerr != nil && res != nil {
 			markPartial(m, rerr)
@@ -497,6 +470,15 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 	m.PerThread, m.SharedL3, m.NUMA = machineMetrics(res.Machine, folded, levelNames)
 	m.Objects = objectMetrics(res.Machine.Primary().Mon.Registry().Objects(), res.Machine.Placement)
 	return m, nil
+}
+
+// hpcgMetrics fills the metrics of a completed one-thread HPCG run.
+func hpcgMetrics(m *Metrics, mach *core.Machine, cg *hpcg.CGResult, folded *folding.Folded, paper []core.PaperPhase, levelNames []string) {
+	m.CG = cgMetrics(cg)
+	m.PerThread, m.SharedL3, m.NUMA = machineMetrics(mach, func(int) *folding.Folded { return folded }, levelNames)
+	primary := mach.Primary()
+	m.PerThread[0].Phases = paperPhaseMetrics(paper, primary.Hier.RemoteDRAMPossible())
+	m.Objects = objectMetrics(primary.Mon.Registry().Objects(), mach.Placement)
 }
 
 // asRunError unwraps a clean instance-boundary stop (nil for hard

@@ -41,14 +41,14 @@ func init() {
 		Description: "test: small stream",
 		Hierarchy:   "small",
 		Threads:     1, Iters: 4, Period: 150,
-		Workload: func() workloads.PartitionedWorkload { return workloads.NewStream(1 << 9) },
+		Workload: func() workloads.ResumableWorkload { return workloads.NewStream(1 << 9) },
 	})
 	mustRegister(scenario.Scenario{
 		Name:        "simd_test_slow",
 		Description: "test: paced stream (reliably in flight when drains/deadlines land)",
 		Hierarchy:   "small",
 		Threads:     1, Iters: 800, Period: 150,
-		Workload: func() workloads.PartitionedWorkload {
+		Workload: func() workloads.ResumableWorkload {
 			return &pacedWorkload{Stream: workloads.NewStream(1 << 11), delay: 200 * time.Microsecond}
 		},
 	})
@@ -57,7 +57,7 @@ func init() {
 		Description: "test: kernel panics mid-run",
 		Hierarchy:   "small",
 		Threads:     1, Iters: 4, Period: 150,
-		Workload: func() workloads.PartitionedWorkload {
+		Workload: func() workloads.ResumableWorkload {
 			return &panicWorkload{Stream: workloads.NewStream(1 << 9)}
 		},
 	})

@@ -3,6 +3,7 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 
 	"repro/internal/cpu"
@@ -330,39 +331,51 @@ type Ref struct {
 	Event *Event
 }
 
-// Merge merges time-ordered logs into one time-ordered stream of
-// references, without copying an event; on equal times the event of the
-// lower-indexed log goes first. Logs are per-thread streams, so a linear
-// scan of the heads beats a heap at these widths.
+// Merged yields the events of time-ordered logs in one time order, in
+// place, each with the index of its log among logs; on equal times the
+// event of the lower-indexed log goes first. Logs are per-thread streams,
+// so a linear scan of the heads beats a heap at these widths.
+func Merged(logs ...*Log) iter.Seq2[int, *Event] {
+	return func(yield func(int, *Event) bool) {
+		type cursor struct{ chunk, off int }
+		curs := make([]cursor, len(logs))
+		head := func(i int) *Event {
+			cs := logs[i].chunks
+			c := &curs[i]
+			for c.chunk < len(cs) && c.off == len(cs[c.chunk]) {
+				c.chunk, c.off = c.chunk+1, 0
+			}
+			if c.chunk == len(cs) {
+				return nil
+			}
+			return &cs[c.chunk][c.off]
+		}
+		for {
+			best := -1
+			var bestEv *Event
+			for i := range logs {
+				if e := head(i); e != nil && (bestEv == nil || e.TimeNs < bestEv.TimeNs) {
+					best, bestEv = i, e
+				}
+			}
+			if best < 0 || !yield(best, bestEv) {
+				return
+			}
+			curs[best].off++
+		}
+	}
+}
+
+// Merge collects Merged into one time-ordered stream of references,
+// without copying an event.
 func Merge(logs ...*Log) []Ref {
-	type cursor struct{ chunk, off int }
 	total := 0
 	for _, l := range logs {
 		total += l.Len()
 	}
 	out := make([]Ref, 0, total)
-	curs := make([]cursor, len(logs))
-	head := func(i int) *Event {
-		cs := logs[i].chunks
-		c := &curs[i]
-		for c.chunk < len(cs) && c.off == len(cs[c.chunk]) {
-			c.chunk, c.off = c.chunk+1, 0
-		}
-		if c.chunk == len(cs) {
-			return nil
-		}
-		return &cs[c.chunk][c.off]
-	}
-	for len(out) < total {
-		best := -1
-		var bestEv *Event
-		for i := range logs {
-			if e := head(i); e != nil && (bestEv == nil || e.TimeNs < bestEv.TimeNs) {
-				best, bestEv = i, e
-			}
-		}
-		out = append(out, Ref{Log: best, Event: bestEv})
-		curs[best].off++
+	for i, e := range Merged(logs...) {
+		out = append(out, Ref{Log: i, Event: e})
 	}
 	return out
 }

@@ -159,6 +159,16 @@ func TestMergeSortsStably(t *testing.T) {
 	if m[1].Log != 0 || m[2].Log != 1 || m[1].Event.Addr != 1 || m[2].Event.Addr != 4 {
 		t.Error("tie-break by thread failed")
 	}
+	// A walk can stop early, as a failed write stops WriteTrace.
+	n := 0
+	for range Merged(&a, &b) {
+		if n++; n == 2 {
+			break
+		}
+	}
+	if n != 2 {
+		t.Errorf("walk stopped after %d events, want 2", n)
+	}
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
