@@ -17,10 +17,14 @@ import (
 	"repro/internal/workloads"
 )
 
+// defaultSize is the -size default: the per-iteration work of one
+// instrumented iteration.
+const defaultSize = 1 << 16
+
 func main() {
 	var (
 		name   = flag.String("workload", "stream", "workload: stream | gups | chase | matmul | spmv")
-		size   = flag.Int("size", 1<<16, "workload size (elements / table words / nodes / matrix dim; spmv rows)")
+		size   = flag.Int("size", defaultSize, "per-iteration work: elements / table words / list nodes / spmv rows (grid ⌊∛size⌋³) / matmul multiply-adds (dimension ⌊∛size⌋)")
 		iters  = flag.Int("iters", 20, "instrumented iterations")
 		period = flag.Uint64("period", 500, "PEBS sampling period")
 		muxNs  = flag.Uint64("mux-ns", 0, "load/store multiplexing quantum in ns (0 = both always)")
@@ -28,26 +32,9 @@ func main() {
 	)
 	flag.Parse()
 
-	var w workloads.ResumableWorkload
-	switch *name {
-	case "stream":
-		w = workloads.NewStream(*size)
-	case "gups":
-		w = workloads.NewRandomAccess(*size, *size/4+1, 1)
-	case "chase":
-		w = workloads.NewPointerChase(*size, 1)
-	case "matmul":
-		w = workloads.NewMatMul(*size)
-	case "spmv":
-		// -size keeps its "elements" meaning: the stencil grid is the cube
-		// root, giving ~size matrix rows.
-		d := int(math.Cbrt(float64(*size)))
-		if d < 2 {
-			d = 2
-		}
-		w = workloads.NewSpMV(d, d, d)
-	default:
-		fatal(fmt.Errorf("unknown workload %q", *name))
+	w, err := newWorkload(*name, *size)
+	if err != nil {
+		fatal(err)
 	}
 
 	cfg := core.DefaultConfig()
@@ -77,6 +64,27 @@ func main() {
 	}
 	fmt.Printf("trace written to %s.prv / %s.pcf (region id %d = %q)\n",
 		*out, *out, w.Region(), w.Name())
+}
+
+// newWorkload builds the named workload doing about size units of work per
+// iteration. The cubic kernels take the cube root: an n×n matmul does n³
+// multiply-adds, and the spmv stencil grid is d×d×d rows.
+func newWorkload(name string, size int) (workloads.Workload, error) {
+	cbrt := int(math.Cbrt(float64(size)))
+	switch name {
+	case "stream":
+		return workloads.NewStream(size), nil
+	case "gups":
+		return workloads.NewRandomAccess(size, size/4+1, 1), nil
+	case "chase":
+		return workloads.NewPointerChase(size, 1), nil
+	case "matmul":
+		return workloads.NewMatMul(cbrt), nil
+	case "spmv":
+		d := max(cbrt, 2)
+		return workloads.NewSpMV(d, d, d), nil
+	}
+	return nil, fmt.Errorf("unknown workload %q", name)
 }
 
 func fatal(err error) {

@@ -99,8 +99,8 @@ func main() {
 
 	if *threads > 1 || cfg.NUMA.Sockets > 0 {
 		// NUMA runs always take the per-thread report, which carries the
-		// per-socket traffic section; with one thread the parallel solve
-		// is the sequential solve on worker 0.
+		// per-socket traffic section; with one thread both drivers run
+		// the same one-worker team solve.
 		runParallel(ctx, cfg, params, *threads, *outDir)
 		return
 	}

@@ -61,7 +61,7 @@ func main() {
 		update     = flag.Bool("update-golden", false, "rewrite the golden metrics files for every scenario")
 		golden     = flag.String("golden", filepath.Join("internal", "scenario", "testdata", "golden"), "golden directory used by -update-golden")
 		timeout    = flag.Duration("timeout", 0, "abort the run at the next instance boundary after this duration (0 = no limit); partial metrics are marked and the exit status is non-zero")
-		ckEvery    = flag.Int("checkpoint-every", 0, "snapshot the full simulation state every N completed instances (requires -checkpoint; deterministic single-scenario runs only)")
+		ckEvery    = flag.Int("checkpoint-every", 0, "snapshot the full simulation state every N completed instances (requires -checkpoint; single-scenario runs only)")
 		ckPath     = flag.String("checkpoint", "", "checkpoint file, atomically rewritten at every snapshot (latest wins)")
 		resumePath = flag.String("resume", "", "resume from this checkpoint file instead of starting from instance 0")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (perf work: profile real scenario runs, not just microbenchmarks)")

@@ -44,8 +44,7 @@ type Checkpointer struct {
 	Demand func() bool
 	// Progress, when non-nil, receives instance/cycle/cache-level counters
 	// at every instance boundary (atomic stores, no allocation — see
-	// ObserveProgress). RunHPCGParallel, which has no instance boundaries
-	// of its own, takes no Checkpointer.
+	// ObserveProgress).
 	Progress *telemetry.Progress
 }
 
@@ -212,7 +211,7 @@ func (m *Machine) run(ctx context.Context, s schedule, ck *Checkpointer) error {
 // starts.
 type workloadSchedule struct {
 	m     *Machine
-	w     workloads.ResumableWorkload
+	w     workloads.Workload
 	iters int
 	cur   checkpoint.Cursor
 	ctx   workloads.Ctx // reused by every step, so a step allocates nothing
@@ -249,7 +248,8 @@ func (s *workloadSchedule) restore(snap *checkpoint.Snapshot) error {
 	return nil
 }
 
-// cgSchedule is the sequential CG solve, one iteration per instance.
+// cgSchedule is the CG solve on the machine's team, one iteration per
+// instance.
 type cgSchedule struct {
 	cg   *hpcg.CGRun
 	last bool
@@ -282,27 +282,16 @@ func (s *cgSchedule) restore(snap *checkpoint.Snapshot) error {
 // allocation tracking), run CG under monitoring one iteration per
 // instance, fold the iteration region and label the phases. ck (nil for
 // none) snapshots, resumes and observes the solve at iteration
-// boundaries. A solve stopped there returns its partial result alongside
-// a *RunError.
+// boundaries. A solve stopped there, or cut short by cancellation or a
+// kernel panic, returns its partial result alongside a *RunError.
 func RunHPCGCheckpointed(ctx context.Context, cfg Config, params hpcg.Params, ck *Checkpointer) (*HPCGRun, error) {
-	m, problem, err := newHPCG(cfg, params, 1)
-	if err != nil {
+	mr, err := runHPCGTeam(ctx, cfg, params, 1, ck)
+	if mr == nil {
 		return nil, err
 	}
-	m.StartAll()
-	cgr, err := problem.NewCGRun()
-	if err != nil {
-		return nil, err
-	}
-	err = m.run(ctx, &cgSchedule{cg: cgr}, ck)
-	folded, ferr := m.foldAll(problem.RegionIteration, err)
-	if ferr != nil {
-		return nil, ferr
-	}
-	run := &HPCGRun{Session: &Session{m, m.Primary()}, Problem: problem, CG: cgr.Result(), Partial: err != nil}
-	if len(folded) > 0 {
-		run.Folded = folded[0].Folded
-		run.Paper = LabelPaperPhases(run.Folded, m.FuncOf)
+	run := &HPCGRun{Session: &Session{mr.Machine, mr.Machine.Primary()}, Problem: mr.Problem, CG: mr.CG, Partial: mr.Partial}
+	if len(mr.Threads) > 0 {
+		run.Folded, run.Paper = mr.Threads[0].Folded, mr.Threads[0].Paper
 	}
 	return run, err
 }

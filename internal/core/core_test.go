@@ -38,7 +38,7 @@ func runHPCG(t testing.TB, cfg Config, params hpcg.Params) *HPCGRun {
 }
 
 // mustRunWorkload runs w to completion on a threads-thread machine.
-func mustRunWorkload(t testing.TB, cfg Config, w workloads.ResumableWorkload, iters, threads int) *MachineWorkloadResult {
+func mustRunWorkload(t testing.TB, cfg Config, w workloads.Workload, iters, threads int) *MachineWorkloadResult {
 	t.Helper()
 	res, err := RunWorkload(nil, cfg, w, iters, threads, nil)
 	if err != nil {
@@ -47,8 +47,9 @@ func mustRunWorkload(t testing.TB, cfg Config, w workloads.ResumableWorkload, it
 	return res
 }
 
-// sessionRun sets up w on a fresh Session and runs all its iterations in
-// one w.Run call, outside the instance-boundary loop, then folds it.
+// sessionRun sets up w on a fresh Session and runs all its iterations
+// over all its elements in one RunPartitionRange call, outside the
+// instance-boundary loop, then folds it.
 func sessionRun(t testing.TB, cfg Config, w workloads.Workload, iters int) (*Session, *folding.Folded) {
 	t.Helper()
 	s, err := NewSession(cfg)
@@ -60,7 +61,7 @@ func sessionRun(t testing.TB, cfg Config, w workloads.Workload, iters int) (*Ses
 		t.Fatal(err)
 	}
 	s.Mon.Start()
-	if err := w.Run(ctx, iters); err != nil {
+	if err := w.RunPartitionRange(ctx, 0, iters, 0, w.Elements()); err != nil {
 		t.Fatal(err)
 	}
 	s.Mon.Stop()

@@ -6,15 +6,15 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// RunError reports a run stopped at an instance boundary without completing:
-// cancellation, an injected fault, or a contained worker panic. The cursor
-// pins the first instance that did not execute, which is exactly where a
-// checkpointed run resumes.
+// RunError reports a run stopped without completing: at an instance
+// boundary (cancellation, an injected fault, a demanded checkpoint) or by a
+// poisoned HPCG team (cancellation at a fork, a contained kernel panic).
+// The cursor pins the first instance that did not complete.
 type RunError struct {
 	// Thread is the 1-based thread whose schedule was interrupted, 0 when
-	// the fault is global (e.g. a parallel solve aborting at a barrier).
+	// the fault is global (a poisoned team aborting the CG solve).
 	Thread int
-	// Cursor locates the next instance that did not run.
+	// Cursor locates the first instance that did not complete.
 	Cursor checkpoint.Cursor
 	// Cause is the underlying fault: context.Canceled,
 	// context.DeadlineExceeded, a faultinject error or a recovered panic.

@@ -28,6 +28,7 @@ type runWorkload struct {
 
 func (w *runWorkload) Name() string          { return "line_run_property" }
 func (w *runWorkload) Region() extrae.Region { return w.region }
+func (w *runWorkload) Elements() int         { return 1 }
 func (w *runWorkload) Setup(ctx *workloads.Ctx) error {
 	fn, err := ctx.Bin.AddFunction("line_run_property", "runs.c", 90, 4)
 	if err != nil {
@@ -43,12 +44,14 @@ func (w *runWorkload) Setup(ctx *workloads.Ctx) error {
 	return nil
 }
 
-func (w *runWorkload) Run(ctx *workloads.Ctx, iters int) error {
+// RunPartitionRange draws every window's runs from a generator seeded
+// afresh, so it is only ever run as one whole window from iteration 0.
+func (w *runWorkload) RunPartitionRange(ctx *workloads.Ctx, startIter, endIter, _, _ int) error {
 	core := ctx.Core
 	rng := rand.New(rand.NewSource(w.Seed))
 	strides := []int{1, 3, 4, 8, 12, 16, 56, 64, 72, 128}
 	var runs [4]cpu.LineRun
-	for it := 0; it < iters; it++ {
+	for it := startIter; it < endIter; it++ {
 		ctx.Mon.EnterRegion(w.region)
 		for r := 0; r < w.N; r++ {
 			nb := 1 + rng.Intn(len(runs))

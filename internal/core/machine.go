@@ -332,7 +332,7 @@ func (m *Machine) foldAll(region extrae.Region, err error) ([]MachineThreadRun, 
 // instance boundaries. A run stopped there (cancellation, an injected
 // fault or a demanded checkpoint) returns its partial result alongside a
 // *RunError.
-func RunWorkload(ctx context.Context, cfg Config, w workloads.ResumableWorkload, iters, threads int, ck *Checkpointer) (*MachineWorkloadResult, error) {
+func RunWorkload(ctx context.Context, cfg Config, w workloads.Workload, iters, threads int, ck *Checkpointer) (*MachineWorkloadResult, error) {
 	m, err := NewMachine(cfg, threads)
 	if err != nil {
 		return nil, err
@@ -393,14 +393,19 @@ type MachineHPCGRun struct {
 
 // RunHPCGParallel executes the paper's evaluation on an n-thread Machine:
 // generate the problem once (setup on thread 1), run the OpenMP-style
-// domain-partitioned CG across all threads under monitoring, merge the
-// per-thread trace streams and fold each thread separately. The team polls
-// ctx at every parallel-section fork and contains worker panics; an
-// aborted solve returns the partial result alongside a *RunError.
+// domain-partitioned CG across all threads under monitoring and fold each
+// thread separately. The team polls ctx at every parallel-section fork and
+// contains worker panics; an aborted solve returns the partial result
+// alongside a *RunError.
 func RunHPCGParallel(ctx context.Context, cfg Config, params hpcg.Params, threads int) (*MachineHPCGRun, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	return runHPCGTeam(ctx, cfg, params, threads, nil)
+}
+
+// runHPCGTeam is both HPCG drivers: the CG solve on the machine's team, one
+// iteration per instance of the boundary loop, then one fold per thread.
+// A team poisoned mid-iteration (cancellation at a fork, a kernel panic)
+// stops the solve like a boundary stop: a *RunError and a partial result.
+func runHPCGTeam(ctx context.Context, cfg Config, params hpcg.Params, threads int, ck *Checkpointer) (*MachineHPCGRun, error) {
 	m, problem, err := newHPCG(cfg, params, threads)
 	if err != nil {
 		return nil, err
@@ -412,19 +417,24 @@ func RunHPCGParallel(ctx context.Context, cfg Config, params hpcg.Params, thread
 	defer team.Close()
 	team.SetContext(ctx)
 	m.StartAll()
-	cg, err := problem.RunCGParallel(team)
+	var cg *hpcg.CGResult
+	cgr, err := problem.NewCGRunOn(team)
+	if err == nil {
+		cg = cgr.Result()
+		err = m.run(ctx, &cgSchedule{cg: cgr}, ck)
+	}
 	if abort := (*hpcg.AbortError)(nil); errors.As(err, &abort) {
-		err = &RunError{Cursor: checkpoint.Cursor{Iter: abort.Iteration}, Cause: abort.Err}
+		// The cursor counts completed iterations; the aborted one is not.
+		err = &RunError{Cursor: checkpoint.Cursor{Iter: max(abort.Iteration-1, 0)}, Cause: abort.Err}
 	}
 	folded, ferr := m.foldAll(problem.RegionIteration, err)
 	if ferr != nil {
 		return nil, ferr
 	}
-	run := &MachineHPCGRun{Machine: m, Problem: problem, CG: cg, Threads: folded, Partial: err != nil}
-	for i := range run.Threads {
-		run.Threads[i].Paper = LabelPaperPhases(run.Threads[i].Folded, m.FuncOf)
+	for i := range folded {
+		folded[i].Paper = LabelPaperPhases(folded[i].Folded, m.FuncOf)
 	}
-	return run, err
+	return &MachineHPCGRun{Machine: m, Problem: problem, CG: cg, Threads: folded, Partial: err != nil}, err
 }
 
 // newHPCG builds an n-thread machine and generates the problem on its

@@ -199,7 +199,7 @@ func TestNUMABindOverridesPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.StartAll()
-	if err := w.RunPartition(ctxFor(primary, m), 2, 0, w.Elements()); err != nil {
+	if err := w.RunPartitionRange(ctxFor(primary, m), 0, 2, 0, w.Elements()); err != nil {
 		t.Fatal(err)
 	}
 	m.StopAll()

@@ -10,24 +10,25 @@ import (
 
 // Partition-equivalence suite for the promoted workloads: RunWorkload on
 // one thread (one RunPartitionRange call per instance, through the
-// instance-boundary loop) must be byte-identical to w.Run on a Session,
-// and N-thread runs must fold every thread. This extends
+// instance-boundary loop) must be byte-identical to one whole-window
+// RunPartitionRange call on a Session, and N-thread runs must fold every
+// thread. This extends
 // TestMachineStreamSingleThreadIdentical to every partitioned workload.
 
 // partitionedWorkloads builds a fresh instance of every synthetic
 // partitioned workload at regression scale.
-func partitionedWorkloads() map[string]func() workloads.ResumableWorkload {
-	return map[string]func() workloads.ResumableWorkload{
-		"stream":        func() workloads.ResumableWorkload { return workloads.NewStream(1 << 13) },
-		"random_access": func() workloads.ResumableWorkload { return workloads.NewRandomAccess(1<<14, 3000, 11) },
-		"pointer_chase": func() workloads.ResumableWorkload { return workloads.NewPointerChase(1<<12, 5) },
-		"matmul":        func() workloads.ResumableWorkload { return workloads.NewMatMul(24) },
-		"spmv_csr":      func() workloads.ResumableWorkload { return workloads.NewSpMV(12, 12, 12) },
+func partitionedWorkloads() map[string]func() workloads.Workload {
+	return map[string]func() workloads.Workload{
+		"stream":        func() workloads.Workload { return workloads.NewStream(1 << 13) },
+		"random_access": func() workloads.Workload { return workloads.NewRandomAccess(1<<14, 3000, 11) },
+		"pointer_chase": func() workloads.Workload { return workloads.NewPointerChase(1<<12, 5) },
+		"matmul":        func() workloads.Workload { return workloads.NewMatMul(24) },
+		"spmv_csr":      func() workloads.Workload { return workloads.NewSpMV(12, 12, 12) },
 	}
 }
 
-// assertSessionMachineIdentical compares a Session's w.Run with a
-// one-thread RunWorkload of the same workload and configuration.
+// assertSessionMachineIdentical compares a Session's whole-window run with
+// a one-thread RunWorkload of the same workload and configuration.
 func assertSessionMachineIdentical(t *testing.T, s *Session, sf *folding.Folded, mach *MachineWorkloadResult) {
 	t.Helper()
 	mt := mach.Machine.Primary()
@@ -71,10 +72,10 @@ func assertSessionMachineIdentical(t *testing.T, s *Session, sf *folding.Folded,
 	}
 }
 
-// TestPartitionSingleThreadIdenticalToSession pins Run == RunPartitionRange
-// one instance at a time over (0, Elements()) through the full stack for
-// every partitioned workload, on both the randomized-mux and deterministic
-// configurations.
+// TestPartitionSingleThreadIdenticalToSession pins one whole-window
+// RunPartitionRange == RunPartitionRange one instance at a time over
+// (0, Elements()) through the full stack for every partitioned workload,
+// on both the randomized-mux and deterministic configurations.
 func TestPartitionSingleThreadIdenticalToSession(t *testing.T) {
 	const iters = 6
 	for name, mk := range partitionedWorkloads() {

@@ -18,9 +18,9 @@ type CGResult struct {
 	FinalError float64
 }
 
-// AbortError reports a CG solve cut short at an instance boundary —
-// cancellation or a contained worker panic. Iteration is the last iteration
-// whose instance completed cleanly (0 if none did).
+// AbortError reports a CG solve cut short by a poisoned team —
+// cancellation or a contained worker panic. Iteration is the iteration
+// the fault hit (0 for the pre-loop traffic).
 type AbortError struct {
 	Iteration int
 	Err       error
@@ -32,7 +32,7 @@ func (e *AbortError) Error() string {
 
 func (e *AbortError) Unwrap() error { return e.Err }
 
-// CGRun is an in-progress sequential CG solve, advanced one instrumented
+// CGRun is an in-progress CG solve on a Team, advanced one instrumented
 // "CG_iteration" instance at a time. Splitting the solve into NewCGRun
 // (allocation and the pre-loop traffic) and Step (one iteration) is what
 // makes checkpointing possible: between Steps the solver's whole cross-
@@ -41,6 +41,7 @@ func (e *AbortError) Unwrap() error { return e.Err }
 // stopped.
 type CGRun struct {
 	p            *Problem
+	team         *Team
 	r, z, pv, ap *Vector
 	res          *CGResult
 	rtzOld       float64
@@ -49,10 +50,25 @@ type CGRun struct {
 	done         bool
 }
 
-// NewCGRun allocates the solver vectors and issues the pre-loop traffic
-// (move b into r, the initial residual norm). The returned run is positioned
-// before iteration 1.
+// NewCGRun is NewCGRunOn over a one-worker team of the problem's own core
+// and monitor: the sequential solve.
 func (p *Problem) NewCGRun() (*CGRun, error) {
+	team, err := NewTeam([]*Worker{{Core: p.core, Mon: p.mon}})
+	if err != nil {
+		return nil, err
+	}
+	return p.NewCGRunOn(team)
+}
+
+// NewCGRunOn allocates the solver vectors and issues the pre-loop traffic
+// (move b into r, the initial residual norm) on team, whose worker 0 must
+// be the problem's own core/monitor (the primary thread owns setup
+// allocations and the scalar bookkeeping traffic). The returned run is
+// positioned before iteration 1.
+func (p *Problem) NewCGRunOn(team *Team) (*CGRun, error) {
+	if team.workers[0].Core != p.core || team.workers[0].Mon != p.mon {
+		return nil, fmt.Errorf("hpcg: team worker 0 must be the problem's primary core/monitor")
+	}
 	n := p.Fine.NRows
 	r, err := p.newVector("cg_r", n)
 	if err != nil {
@@ -73,55 +89,64 @@ func (p *Problem) NewCGRun() (*CGRun, error) {
 
 	p.X.Fill(0)
 	// r = b - A*x = b (x starts at zero); p = r handled in first iteration.
-	copy(r.Data, p.B.Data)
-	p.moveVector(p.B, r)
+	p.parallelMove(team, p.B, r)
 
-	c := &CGRun{p: p, r: r, z: z, pv: pv, ap: ap, res: &CGResult{}, next: 1}
-	c.normR0 = math.Sqrt(p.Dot(r, r))
+	c := &CGRun{p: p, team: team, r: r, z: z, pv: pv, ap: ap, res: &CGResult{}, next: 1}
+	c.normR0 = math.Sqrt(p.parallelDot(team, r, r))
+	if err := team.Err(); err != nil {
+		return nil, &AbortError{Iteration: 0, Err: err}
+	}
 	if c.normR0 == 0 {
 		return nil, fmt.Errorf("hpcg: zero right-hand side")
 	}
 	return c, nil
 }
 
-// Step executes the next CG iteration as one instrumented instance and
-// reports whether the solve has finished (converged or iteration budget
-// exhausted).
+// Step executes the next CG iteration as one instrumented instance per
+// thread and reports whether the solve has finished (converged or
+// iteration budget exhausted). The loop body matches the HPCG 3.0
+// reference CG (z = MG(r); beta; p; alpha; updates). A team poisoned
+// during the iteration fails it with an *AbortError carrying its number.
 func (c *CGRun) Step() (bool, error) {
 	if c.done {
 		return true, nil
 	}
-	p := c.p
-	k := c.next
-	p.mon.EnterRegion(p.RegionIteration)
+	p, t, k := c.p, c.team, c.next
+	t.Run(func(_ int, w *Worker) { w.Mon.EnterRegion(p.RegionIteration) })
 
-	p.MG(c.r, c.z) // preconditioner: phases A..D
+	p.parallelMG(t, c.r, c.z) // preconditioner: phases A..D
 
-	rtz := p.Dot(c.r, c.z)
+	rtz := p.parallelDot(t, c.r, c.z)
 	if k == 1 {
-		copy(c.pv.Data, c.z.Data)
-		p.moveVector(c.z, c.pv)
+		p.parallelMove(t, c.z, c.pv)
 	} else {
 		beta := rtz / c.rtzOld
-		p.WAXPBY(1, c.z, beta, c.pv, c.pv)
+		p.parallelWAXPBY(t, 1, c.z, beta, c.pv, c.pv)
 	}
 	c.rtzOld = rtz
 
-	p.SpMV(p.Fine, c.pv, c.ap) // phase E
-	pap := p.Dot(c.pv, c.ap)
+	p.parallelSpMV(t, p.Fine, c.pv, c.ap) // phase E
+	pap := p.parallelDot(t, c.pv, c.ap)
+	if err := t.Err(); err != nil {
+		// Check before the breakdown test: a poisoned team produces zero
+		// partials, which must not masquerade as p·Ap = 0.
+		return false, &AbortError{Iteration: k, Err: err}
+	}
 	if pap == 0 {
-		p.mon.ExitRegion(p.RegionIteration)
+		t.Run(func(_ int, w *Worker) { w.Mon.ExitRegion(p.RegionIteration) })
 		return false, fmt.Errorf("hpcg: CG breakdown (p·Ap = 0) at iteration %d", k)
 	}
 	alpha := rtz / pap
-	p.WAXPBY(1, p.X, alpha, c.pv, p.X)
-	p.WAXPBY(1, c.r, -alpha, c.ap, c.r)
+	p.parallelWAXPBY(t, 1, p.X, alpha, c.pv, p.X)
+	p.parallelWAXPBY(t, 1, c.r, -alpha, c.ap, c.r)
 
-	normR := math.Sqrt(p.Dot(c.r, c.r))
+	normR := math.Sqrt(p.parallelDot(t, c.r, c.r))
+	t.Run(func(_ int, w *Worker) { w.Mon.ExitRegion(p.RegionIteration) })
+	if err := t.Err(); err != nil {
+		return false, &AbortError{Iteration: k, Err: err}
+	}
 	c.res.Residuals = append(c.res.Residuals, normR)
 	c.res.Iterations = k
-
-	p.mon.ExitRegion(p.RegionIteration)
 
 	c.next = k + 1
 	if p.Params.Tolerance > 0 && normR/c.normR0 < p.Params.Tolerance {
@@ -216,11 +241,13 @@ func (c *CGRun) RestoreState(st CGRunState) error {
 	return nil
 }
 
-// RunCG executes the preconditioned conjugate gradient solve, instrumenting
-// each iteration as the foldable "CG_iteration" region. The loop structure
-// matches the HPCG 3.0 reference CG (z = MG(r); beta; p; alpha; updates).
-func (p *Problem) RunCG() (*CGResult, error) {
-	c, err := p.NewCGRun()
+// RunCGParallel executes the preconditioned conjugate gradient solve on
+// the team, one instrumented "CG_iteration" region instance per iteration
+// per thread: NewCGRunOn, then Step until done. A poisoned team aborts it
+// with an *AbortError (Iteration 0 when the fault hit the pre-loop
+// traffic).
+func (p *Problem) RunCGParallel(team *Team) (*CGResult, error) {
+	c, err := p.NewCGRunOn(team)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package hpcg
 
 import (
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/cpu"
@@ -45,6 +47,17 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	return &rig{core: core, bin: bin, as: as, mon: mon}
+}
+
+// solo returns a one-worker team over the rig's core and monitor: the
+// sequential execution of every kernel.
+func (r *rig) solo(t *testing.T) *Team {
+	t.Helper()
+	team, err := NewTeam([]*Worker{{Core: r.core, Mon: r.mon}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return team
 }
 
 func smallParams() Params {
@@ -157,13 +170,14 @@ func TestSpMVMatchesDirectComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	team := r.solo(t)
 	lv := p.Fine
 	x, _ := p.newVector("tx", lv.NRows)
 	y, _ := p.newVector("ty", lv.NRows)
 	for i := range x.Data {
 		x.Data[i] = float64(i%10) * 0.25
 	}
-	p.SpMV(lv, x, y)
+	p.parallelSpMV(team, lv, x, y)
 	for i := 0; i < lv.NRows; i++ {
 		var want float64
 		for j := 0; j < int(lv.NonzerosInRow[i]); j++ {
@@ -175,7 +189,7 @@ func TestSpMVMatchesDirectComputation(t *testing.T) {
 	}
 	// A * ones: interior rows sum to 26 - 26 = 0 (diagonally balanced).
 	x.Fill(1)
-	p.SpMV(lv, x, y)
+	p.parallelSpMV(team, lv, x, y)
 	interior := lv.Geom.Index(3, 3, 3)
 	if math.Abs(y.Data[interior]) > 1e-12 {
 		t.Errorf("interior row of A*1 = %g, want 0", y.Data[interior])
@@ -192,11 +206,12 @@ func TestSYMGSReducesResidual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	team := r.solo(t)
 	lv := p.Fine
 	x, _ := p.newVector("sx", lv.NRows)
 	ax, _ := p.newVector("sax", lv.NRows)
 	resNorm := func() float64 {
-		p.SpMV(lv, x, ax)
+		p.parallelSpMV(team, lv, x, ax)
 		var s float64
 		for i := range ax.Data {
 			d := p.B.Data[i] - ax.Data[i]
@@ -206,12 +221,12 @@ func TestSYMGSReducesResidual(t *testing.T) {
 	}
 	x.Fill(0)
 	before := resNorm()
-	p.SYMGS(lv, p.B, x)
+	p.parallelSYMGS(team, lv, p.B, x)
 	after := resNorm()
 	if after >= before {
 		t.Errorf("SYMGS did not reduce residual: %g -> %g", before, after)
 	}
-	p.SYMGS(lv, p.B, x)
+	p.parallelSYMGS(team, lv, p.B, x)
 	after2 := resNorm()
 	if after2 >= after {
 		t.Errorf("second SYMGS did not reduce residual: %g -> %g", after, after2)
@@ -232,10 +247,11 @@ func TestDotAndWAXPBY(t *testing.T) {
 		a.Data[i] = 2
 		b.Data[i] = 3
 	}
-	if got := p.Dot(a, b); math.Abs(got-float64(6*n)) > 1e-9 {
+	team := r.solo(t)
+	if got := p.parallelDot(team, a, b); math.Abs(got-float64(6*n)) > 1e-9 {
 		t.Errorf("Dot = %g, want %d", got, 6*n)
 	}
-	p.WAXPBY(2, a, -1, b, w)
+	p.parallelWAXPBY(team, 2, a, -1, b, w)
 	for i := 0; i < n; i++ {
 		if w.Data[i] != 1 {
 			t.Fatalf("WAXPBY[%d] = %g, want 1", i, w.Data[i])
@@ -250,7 +266,7 @@ func TestCGConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := p.RunCG()
+	res, err := p.RunCGParallel(r.solo(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +296,7 @@ func TestNoStoresInMatrixRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.mon.Start()
-	if _, err := p.RunCG(); err != nil {
+	if _, err := p.RunCGParallel(r.solo(t)); err != nil {
 		t.Fatal(err)
 	}
 	r.mon.Stop()
@@ -307,7 +323,7 @@ func TestIterationRegionsEmitted(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.mon.Start()
-	res, err := p.RunCG()
+	res, err := p.RunCGParallel(r.solo(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +369,7 @@ func TestSweepAddressOrder(t *testing.T) {
 		}
 	})
 	x, _ := p.newVector("swx", p.Fine.NRows)
-	p.SYMGS(p.Fine, p.B, x)
+	p.parallelSYMGS(r.solo(t), p.Fine, p.B, x)
 	if len(fwd) != p.Fine.NRows || len(bwd) != p.Fine.NRows {
 		t.Fatalf("sweep stores = %d/%d, want %d each", len(fwd), len(bwd), p.Fine.NRows)
 	}
@@ -365,4 +381,42 @@ func TestSweepAddressOrder(t *testing.T) {
 			t.Fatal("backward sweep addresses not descending")
 		}
 	}
+}
+
+// goroutineHeader returns the "goroutine N" header of the calling
+// goroutine's stack trace, which identifies it.
+func goroutineHeader() string {
+	buf := make([]byte, 64)
+	head, _, _ := strings.Cut(string(buf[:runtime.Stack(buf, false)]), " [")
+	return head
+}
+
+// TestOneWorkerTeamRunsInline pins the sequential solve's execution model:
+// a one-worker team starts no goroutine and runs each section on the
+// caller's goroutine, and a panic in a section poisons the team — Err is
+// set and later sections are no-ops — without unwinding the caller.
+func TestOneWorkerTeamRunsInline(t *testing.T) {
+	r := newRig(t)
+	before := runtime.NumGoroutine()
+	team := r.solo(t)
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("one-worker team started %d goroutines", n-before)
+	}
+	caller := goroutineHeader()
+	var ran string
+	team.Run(func(tid int, w *Worker) {
+		if tid != 0 || w.Core != r.core {
+			t.Errorf("section ran as worker %d on core %p, want worker 0 on %p", tid, w.Core, r.core)
+		}
+		ran = goroutineHeader()
+	})
+	if ran != caller {
+		t.Errorf("section ran on %q, want the caller's %q", ran, caller)
+	}
+
+	team.Run(func(int, *Worker) { panic("injected kernel panic") })
+	if err := team.Err(); err == nil || !strings.Contains(err.Error(), "injected kernel panic") {
+		t.Fatalf("team.Err() = %v, want the recorded panic", err)
+	}
+	team.Run(func(int, *Worker) { t.Error("poisoned team ran another section") })
 }

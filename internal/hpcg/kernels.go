@@ -16,23 +16,14 @@ import "repro/internal/cpu"
 //
 // Each kernel body operates on a row range [lo, hi) against an explicit
 // core, which is how the OpenMP-style static domain partitioning works:
-// the sequential methods run the full range on the problem's own core,
-// while the parallel driver (parallel.go) hands each simulated thread its
-// own contiguous block, mirroring `#pragma omp parallel for schedule(static)`
-// over the row loops.
+// the team kernels (parallel.go) hand each simulated thread its own
+// contiguous block, mirroring `#pragma omp parallel for schedule(static)`
+// over the row loops; a one-worker team's block is the full range.
 
-// SpMV computes y = A*x on the given level. The per-row coefficient and
-// column-index traffic is sequential, so it is issued as two streams (one
-// hierarchy probe per line crossing); the x gathers stay per-op because
-// their addresses are data-dependent.
-func (p *Problem) SpMV(lv *Level, x, y *Vector) {
-	p.mon.EnterRegion(p.RegionSPMV)
-	p.spmvRows(p.core, lv, x, y, 0, lv.NRows)
-	p.mon.ExitRegion(p.RegionSPMV)
-}
-
-// spmvRows applies the SpMV row loop over [lo, hi). Each row's coefficient
-// and column-index traffic is emitted as one two-run LineRun batch.
+// spmvRows applies the SpMV row loop y = A*x over [lo, hi). Each row's
+// coefficient and column-index traffic is sequential, so it is emitted as
+// one two-run LineRun batch (one hierarchy probe per line crossing); the x
+// gathers stay per-op because their addresses are data-dependent.
 func (p *Problem) spmvRows(core *cpu.Core, lv *Level, x, y *Vector, lo, hi int) {
 	ips := &p.ips
 	for i := lo; i < hi; i++ {
@@ -55,18 +46,6 @@ func (p *Problem) spmvRows(core *cpu.Core, lv *Level, x, y *Vector, lo, hi int) 
 		core.Store(ips.spmvStore, y.ElemAddr(i), 8)
 		core.Branch()
 	}
-}
-
-// SYMGS performs one symmetric Gauss–Seidel smoothing step on the level:
-// a forward sweep followed by a backward sweep, updating x in place toward
-// the solution of A*x = r.
-func (p *Problem) SYMGS(lv *Level, r, x *Vector) {
-	p.mon.EnterRegion(p.RegionSYMGS)
-	// Forward sweep: rows in ascending order (the paper's a1/d1 phases).
-	p.symgsSweep(p.core, lv, r, x, 0, lv.NRows, true, nil)
-	// Backward sweep: rows in descending order (a2/d2).
-	p.symgsSweep(p.core, lv, r, x, 0, lv.NRows, false, nil)
-	p.mon.ExitRegion(p.RegionSYMGS)
 }
 
 // symgsSweep relaxes the rows of [lo, hi) in ascending (forward) or
@@ -145,14 +124,6 @@ func (p *Problem) symgsRow(core *cpu.Core, lv *Level, r, x *Vector, i, lo, hi in
 // granularity (preserving the cache behaviour of elementwise traversal).
 const vecChunk = 8
 
-// Dot computes the dot product of a and b.
-func (p *Problem) Dot(a, b *Vector) float64 {
-	p.mon.EnterRegion(p.RegionDot)
-	sum := p.dotRange(p.core, a, b, 0, len(a.Data))
-	p.mon.ExitRegion(p.RegionDot)
-	return sum
-}
-
 // dotRange accumulates a·b over elements [lo, hi).
 func (p *Problem) dotRange(core *cpu.Core, a, b *Vector, lo, hi int) float64 {
 	ips := &p.ips
@@ -172,14 +143,7 @@ func (p *Problem) dotRange(core *cpu.Core, a, b *Vector, lo, hi int) float64 {
 	return sum
 }
 
-// WAXPBY computes w = alpha*x + beta*y.
-func (p *Problem) WAXPBY(alpha float64, x *Vector, beta float64, y, w *Vector) {
-	p.mon.EnterRegion(p.RegionWAXPBY)
-	p.waxpbyRange(p.core, alpha, x, beta, y, w, 0, len(w.Data))
-	p.mon.ExitRegion(p.RegionWAXPBY)
-}
-
-// waxpbyRange applies the update over elements [lo, hi).
+// waxpbyRange applies w = alpha*x + beta*y over elements [lo, hi).
 func (p *Problem) waxpbyRange(core *cpu.Core, alpha float64, x *Vector, beta float64, y, w *Vector, lo, hi int) {
 	ips := &p.ips
 	for i := lo; i < hi; i += vecChunk {
@@ -197,12 +161,8 @@ func (p *Problem) waxpbyRange(core *cpu.Core, alpha float64, x *Vector, beta flo
 	}
 }
 
-// Restrict computes the coarse residual rc = (rf - Axf) at injected points.
-func (p *Problem) Restrict(lv *Level) {
-	p.restrictRows(p.core, lv, 0, lv.Coarse.NRows)
-}
-
-// restrictRows restricts the coarse rows [lo, hi).
+// restrictRows computes the coarse residual rc = (rf - Axf) at the injected
+// points of the coarse rows [lo, hi).
 func (p *Problem) restrictRows(core *cpu.Core, lv *Level, lo, hi int) {
 	ips := &p.ips
 	coarse := lv.Coarse
@@ -217,13 +177,9 @@ func (p *Problem) restrictRows(core *cpu.Core, lv *Level, lo, hi int) {
 	}
 }
 
-// Prolong interpolates the coarse correction back: xf[f2c[i]] += xc[i].
-func (p *Problem) Prolong(lv *Level) {
-	p.prolongRows(p.core, lv, 0, lv.Coarse.NRows)
-}
-
-// prolongRows prolongates the coarse rows [lo, hi). The injection map is
-// injective, so disjoint coarse ranges write disjoint fine rows.
+// prolongRows interpolates the coarse correction of the coarse rows
+// [lo, hi) back: xf[f2c[i]] += xc[i]. The injection map is injective, so
+// disjoint coarse ranges write disjoint fine rows.
 func (p *Problem) prolongRows(core *cpu.Core, lv *Level, lo, hi int) {
 	ips := &p.ips
 	coarse := lv.Coarse
@@ -236,64 +192,6 @@ func (p *Problem) prolongRows(core *cpu.Core, lv *Level, lo, hi int) {
 		core.Store(ips.prolongStore, lv.X.ElemAddr(f), 8)
 		core.Compute(1)
 	}
-}
-
-// mgRecurse runs the V-cycle below the finest level (no region
-// instrumentation per level: the whole coarse part is the paper's "C"
-// region, instrumented by the caller).
-func (p *Problem) mgRecurse(lv *Level) {
-	if lv.Coarse == nil {
-		p.SYMGS(lv, lv.R, lv.X)
-		return
-	}
-	lv.X.Fill(0)
-	p.SYMGS(lv, lv.R, lv.X)  // presmooth
-	p.SpMV(lv, lv.X, lv.Axf) // residual matvec
-	p.Restrict(lv)           // move to coarse grid
-	lv.Coarse.X.Fill(0)
-	p.mgRecurse(lv.Coarse)  // solve coarse
-	p.Prolong(lv)           // correction back
-	p.SYMGS(lv, lv.R, lv.X) // postsmooth
-}
-
-// MG applies the multigrid preconditioner z = M⁻¹ r on the fine level. The
-// structure produces the paper's phase sequence for one CG iteration:
-//
-//	A: fine presmooth (SYMGS, forward + backward sweeps a1/a2)
-//	B: fine residual SpMV
-//	C: the coarse-grid work (restriction, coarse V-cycle, prolongation),
-//	   wrapped in the ComputeMG_ref region
-//	D: fine postsmooth (SYMGS, d1/d2)
-func (p *Problem) MG(r, z *Vector) {
-	fine := p.Fine
-	copy(fine.R.Data, r.Data)
-	// The copy is part of CG bookkeeping; model it as a vector move.
-	p.moveVector(r, fine.R)
-	fine.X.Fill(0)
-
-	p.SYMGS(fine, fine.R, fine.X) // A
-	if fine.Coarse != nil {
-		p.SpMV(fine, fine.X, fine.Axf) // B
-		p.mon.EnterRegion(p.RegionMG)  // C covers the coarse-grid work
-		// The coarse-grid smoothers run the same code as the fine-level
-		// SYMGS; pushing the ComputeMG_ref frame makes their samples
-		// attributable to the MG recursion (as call-stack sampling does).
-		p.mon.PushFrame(p.ips.mgFrame)
-		p.Restrict(fine)
-		fine.Coarse.X.Fill(0)
-		p.mgRecurse(fine.Coarse)
-		p.Prolong(fine)
-		p.mon.PopFrame()
-		p.mon.ExitRegion(p.RegionMG)
-		p.SYMGS(fine, fine.R, fine.X) // D
-	}
-	copy(z.Data, fine.X.Data)
-	p.moveVector(fine.X, z)
-}
-
-// moveVector issues the load/store traffic of copying src into dst.
-func (p *Problem) moveVector(src, dst *Vector) {
-	p.moveRange(p.core, src, dst, 0, len(src.Data))
 }
 
 // moveRange issues the move traffic for elements [lo, hi).

@@ -1,16 +1,17 @@
 package hpcg
 
 // OpenMP-style execution of the CG solve: a Team of simulated hardware
-// threads (one goroutine each, each with its own core, monitor and private
-// cache levels, sharing the Machine's L3) executes every kernel's row loop
-// under static domain partitioning — thread t owns the contiguous row
-// block t of every level, exactly like
-// `#pragma omp parallel for schedule(static)` over the HPCG reference
-// loops. The scalar CG logic (reductions, alpha/beta, convergence) runs on
-// the orchestrating goroutine between parallel sections, and every
-// fork-join barrier synchronizes the simulated clocks: lagging cores spin
-// (Stall) up to the slowest core, which is how real barrier wait time
-// shows up inside the folded kernels of an imbalanced run.
+// threads (each with its own core, monitor and private cache levels,
+// sharing the Machine's L3) executes every kernel's row loop under static
+// domain partitioning — thread t owns the contiguous row block t of every
+// level, exactly like `#pragma omp parallel for schedule(static)` over the
+// HPCG reference loops. The team kernels below are the only kernels: a
+// one-worker team is the sequential solve. The scalar CG logic
+// (reductions, alpha/beta, convergence) runs on the orchestrating
+// goroutine between parallel sections, and every fork-join barrier
+// synchronizes the simulated clocks: lagging cores spin (Stall) up to the
+// slowest core, which is how real barrier wait time shows up inside the
+// folded kernels of an imbalanced run.
 //
 // SYMGS is the one kernel whose reference loop is not trivially parallel
 // (row i consumes x values row i-1 just produced). The Team runs it as a
@@ -23,7 +24,6 @@ package hpcg
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/cpu"
@@ -37,14 +37,15 @@ type Worker struct {
 }
 
 // Team is a fixed pool of workers driven in fork-join parallel sections.
-// A worker panic or a context cancellation poisons the team: the fault is
-// recorded (Err), the in-flight section's barrier still releases — a
-// panicking worker must never strand the others — and every subsequent Run
-// becomes a no-op, so the orchestrating solve observes the fault at its
-// next instance boundary instead of deadlocking.
+// A team of one starts no goroutine: it runs each section on the caller's
+// goroutine. A worker panic or a context cancellation poisons the team:
+// the fault is recorded (Err), the in-flight section's barrier still
+// releases — a panicking worker must never strand the others — and every
+// subsequent Run becomes a no-op, so the orchestrating solve observes the
+// fault at its next instance boundary instead of deadlocking.
 type Team struct {
 	workers []*Worker
-	work    []chan func()
+	work    []chan func(int, *Worker) // one per worker; none for a team of one
 	done    chan struct{}
 	ctx     context.Context
 
@@ -52,36 +53,40 @@ type Team struct {
 	err error
 }
 
-// NewTeam launches one goroutine per worker. Close must be called to
-// release them.
+// NewTeam builds a team over workers. With two or more workers it launches
+// one goroutine per worker, which Close must release.
 func NewTeam(workers []*Worker) (*Team, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("hpcg: team needs at least one worker")
 	}
-	t := &Team{workers: workers, done: make(chan struct{}, len(workers)), ctx: context.Background()}
+	t := &Team{workers: workers, ctx: context.Background()}
+	if len(workers) == 1 {
+		return t, nil
+	}
+	t.done = make(chan struct{}, len(workers))
 	for i := range workers {
-		ch := make(chan func())
+		ch := make(chan func(int, *Worker))
 		t.work = append(t.work, ch)
-		go func(tid int, ch chan func()) {
+		go func(tid int, ch chan func(int, *Worker)) {
 			for f := range ch {
 				t.runOne(tid, f)
+				t.done <- struct{}{}
 			}
 		}(i, ch)
 	}
 	return t, nil
 }
 
-// runOne executes one dispatched closure, converting a panic into the
-// team's error. The barrier token is sent unconditionally: the join in Run
-// must complete even when the worker died mid-kernel.
-func (t *Team) runOne(tid int, f func()) {
+// runOne executes one section on worker tid, converting a panic into the
+// team's error: the section returns either way, so the join in Run
+// completes even when the worker died mid-kernel.
+func (t *Team) runOne(tid int, f func(int, *Worker)) {
 	defer func() {
 		if r := recover(); r != nil {
 			t.fail(fmt.Errorf("hpcg: worker %d panicked: %v", tid+1, r))
 		}
-		t.done <- struct{}{}
 	}()
-	f()
+	f(tid, t.workers[tid])
 }
 
 // SetContext installs the cancellation source polled at every parallel
@@ -112,9 +117,6 @@ func (t *Team) Err() error {
 // Size returns the number of workers.
 func (t *Team) Size() int { return len(t.workers) }
 
-// Workers returns the team's workers (index = thread id - 1).
-func (t *Team) Workers() []*Worker { return t.workers }
-
 // Close terminates the worker goroutines. The team is unusable afterwards.
 func (t *Team) Close() {
 	for _, ch := range t.work {
@@ -126,9 +128,10 @@ func (t *Team) Close() {
 // all of them (a fork-join parallel section). On the join it models the
 // barrier: every core that finished early spins until the slowest core's
 // clock, so the team leaves each barrier with synchronized simulated time.
-// Once the team is poisoned (worker panic, cancelled context) Run is a
-// no-op, letting the orchestrating solve unwind without touching the
-// simulated state further.
+// A team of one runs f inline, with nothing to synchronize. Once the team
+// is poisoned (worker panic, cancelled context) Run is a no-op, letting
+// the orchestrating solve unwind without touching the simulated state
+// further.
 func (t *Team) Run(f func(tid int, w *Worker)) {
 	if t.Err() != nil {
 		return
@@ -137,9 +140,12 @@ func (t *Team) Run(f func(tid int, w *Worker)) {
 		t.fail(err)
 		return
 	}
-	for i, ch := range t.work {
-		i := i
-		ch <- func() { f(i, t.workers[i]) }
+	if t.work == nil {
+		t.runOne(0, f)
+		return
+	}
+	for _, ch := range t.work {
+		ch <- f
 	}
 	for range t.work {
 		<-t.done
@@ -206,9 +212,11 @@ func (p *Problem) snapshotX(team *Team, lv *Level, x *Vector) []float64 {
 	return lv.xOld
 }
 
-// parallelSYMGS runs the symmetric Gauss–Seidel smoother block-parallel:
-// each worker sweeps its own row block forward then backward, with a
-// barrier (and a fresh x snapshot) between the sweeps.
+// parallelSYMGS performs one symmetric Gauss–Seidel smoothing step on the
+// level, updating x in place toward the solution of A*x = r: each worker
+// sweeps its own row block forward (ascending rows, the paper's a1/d1
+// phases) then backward (a2/d2), with a barrier (and a fresh x snapshot)
+// between the sweeps.
 func (p *Problem) parallelSYMGS(team *Team, lv *Level, r, x *Vector) {
 	xOld := p.snapshotX(team, lv, x)
 	team.Run(func(tid int, w *Worker) {
@@ -237,8 +245,9 @@ func (p *Problem) parallelSpMV(team *Team, lv *Level, x, y *Vector) {
 }
 
 // parallelDot computes a·b, each worker reducing its own block; the
-// partials combine in worker order, keeping the result deterministic for a
-// fixed thread count.
+// partials combine in worker order from worker 0's, keeping the result
+// deterministic for a fixed thread count (with one worker it is that
+// worker's partial, bit for bit).
 func (p *Problem) parallelDot(team *Team, a, b *Vector) float64 {
 	n := len(a.Data)
 	partial := make([]float64, team.Size())
@@ -248,8 +257,8 @@ func (p *Problem) parallelDot(team *Team, a, b *Vector) float64 {
 		partial[tid] = p.dotRange(w.Core, a, b, lo, hi)
 		w.Mon.ExitRegion(p.RegionDot)
 	})
-	var sum float64
-	for _, v := range partial {
+	sum := partial[0]
+	for _, v := range partial[1:] {
 		sum += v
 	}
 	return sum
@@ -294,7 +303,9 @@ func (p *Problem) parallelProlong(team *Team, lv *Level) {
 	})
 }
 
-// parallelMGRecurse mirrors mgRecurse with parallel kernels.
+// parallelMGRecurse runs the V-cycle below the finest level (no region
+// instrumentation per level: the whole coarse part is the paper's "C"
+// region, opened by parallelMG).
 func (p *Problem) parallelMGRecurse(team *Team, lv *Level) {
 	if lv.Coarse == nil {
 		p.parallelSYMGS(team, lv, lv.R, lv.X)
@@ -310,9 +321,20 @@ func (p *Problem) parallelMGRecurse(team *Team, lv *Level) {
 	p.parallelSYMGS(team, lv, lv.R, lv.X) // postsmooth
 }
 
-// parallelMG mirrors MG: every worker opens the ComputeMG_ref region and
-// pushes the recursion frame on its own monitor, so each thread's samples
-// attribute the coarse-grid work exactly as the sequential path does.
+// parallelMG applies the multigrid preconditioner z = M⁻¹ r on the fine
+// level. The structure produces the paper's phase sequence for one CG
+// iteration:
+//
+//	A: fine presmooth (SYMGS, forward + backward sweeps a1/a2)
+//	B: fine residual SpMV
+//	C: the coarse-grid work (restriction, coarse V-cycle, prolongation),
+//	   wrapped in the ComputeMG_ref region
+//	D: fine postsmooth (SYMGS, d1/d2)
+//
+// The coarse-grid smoothers run the same code as the fine-level SYMGS;
+// every worker pushes the ComputeMG_ref frame on its own monitor, which
+// makes their samples attributable to the MG recursion (as call-stack
+// sampling does).
 func (p *Problem) parallelMG(team *Team, r, z *Vector) {
 	fine := p.Fine
 	p.parallelMove(team, r, fine.R)
@@ -336,100 +358,4 @@ func (p *Problem) parallelMG(team *Team, r, z *Vector) {
 		p.parallelSYMGS(team, fine, fine.R, fine.X) // D
 	}
 	p.parallelMove(team, fine.X, z)
-}
-
-// RunCGParallel executes the preconditioned conjugate gradient solve on
-// the team, one instrumented "CG_iteration" region instance per iteration
-// per thread. Worker 0 must be the problem's own core/monitor (the primary
-// thread owns setup allocations and the scalar bookkeeping traffic). With
-// a single worker the executed instruction stream is identical to RunCG.
-func (p *Problem) RunCGParallel(team *Team) (*CGResult, error) {
-	if team.workers[0].Core != p.core || team.workers[0].Mon != p.mon {
-		return nil, fmt.Errorf("hpcg: team worker 0 must be the problem's primary core/monitor")
-	}
-	n := p.Fine.NRows
-	r, err := p.newVector("cg_r", n)
-	if err != nil {
-		return nil, err
-	}
-	z, err := p.newVector("cg_z", n)
-	if err != nil {
-		return nil, err
-	}
-	pv, err := p.newVector("cg_p", n)
-	if err != nil {
-		return nil, err
-	}
-	ap, err := p.newVector("cg_Ap", n)
-	if err != nil {
-		return nil, err
-	}
-
-	p.X.Fill(0)
-	// r = b - A*x = b (x starts at zero); p = r handled in first iteration.
-	p.parallelMove(team, p.B, r)
-
-	res := &CGResult{}
-	var rtzOld float64
-	normR0 := math.Sqrt(p.parallelDot(team, r, r))
-	if err := team.Err(); err != nil {
-		return nil, &AbortError{Iteration: 0, Err: err}
-	}
-	if normR0 == 0 {
-		return nil, fmt.Errorf("hpcg: zero right-hand side")
-	}
-	for k := 1; k <= p.Params.MaxIters; k++ {
-		if err := team.Err(); err != nil {
-			return nil, &AbortError{Iteration: k - 1, Err: err}
-		}
-		team.Run(func(_ int, w *Worker) { w.Mon.EnterRegion(p.RegionIteration) })
-
-		p.parallelMG(team, r, z) // preconditioner: phases A..D
-
-		rtz := p.parallelDot(team, r, z)
-		if k == 1 {
-			p.parallelMove(team, z, pv)
-		} else {
-			beta := rtz / rtzOld
-			p.parallelWAXPBY(team, 1, z, beta, pv, pv)
-		}
-		rtzOld = rtz
-
-		p.parallelSpMV(team, p.Fine, pv, ap) // phase E
-		pap := p.parallelDot(team, pv, ap)
-		if err := team.Err(); err != nil {
-			// Check before the breakdown test: a poisoned team produces
-			// zero partials, which must not masquerade as p·Ap = 0.
-			return nil, &AbortError{Iteration: k, Err: err}
-		}
-		if pap == 0 {
-			team.Run(func(_ int, w *Worker) { w.Mon.ExitRegion(p.RegionIteration) })
-			return nil, fmt.Errorf("hpcg: CG breakdown (p·Ap = 0) at iteration %d", k)
-		}
-		alpha := rtz / pap
-		p.parallelWAXPBY(team, 1, p.X, alpha, pv, p.X)
-		p.parallelWAXPBY(team, 1, r, -alpha, ap, r)
-
-		normR := math.Sqrt(p.parallelDot(team, r, r))
-		res.Residuals = append(res.Residuals, normR)
-		res.Iterations = k
-
-		team.Run(func(_ int, w *Worker) { w.Mon.ExitRegion(p.RegionIteration) })
-
-		if p.Params.Tolerance > 0 && normR/normR0 < p.Params.Tolerance {
-			res.Converged = true
-			break
-		}
-	}
-	if err := team.Err(); err != nil {
-		return nil, &AbortError{Iteration: res.Iterations, Err: err}
-	}
-	var maxErr float64
-	for i := range p.X.Data {
-		if e := math.Abs(p.X.Data[i] - p.Xexact.Data[i]); e > maxErr {
-			maxErr = e
-		}
-	}
-	res.FinalError = maxErr
-	return res, nil
 }

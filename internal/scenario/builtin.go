@@ -17,21 +17,21 @@ func init() {
 		Description: "STREAM triad, 8K doubles, Haswell hierarchy, 1 thread",
 		Hierarchy:   "haswell",
 		Threads:     1, Iters: 12, Period: 150,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewStream(1 << 13) },
+		Workload: func() workloads.Workload { return workloads.NewStream(1 << 13) },
 	})
 	mustRegister(Scenario{
 		Name:        "stream_triad_4t",
 		Description: "STREAM triad, 16K doubles, shared L3, 4 threads (sequential schedule)",
 		Hierarchy:   "haswell",
 		Threads:     4, Iters: 8, Period: 100,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewStream(1 << 14) },
+		Workload: func() workloads.Workload { return workloads.NewStream(1 << 14) },
 	})
 	mustRegister(Scenario{
 		Name:        "stream_triad_smallcache_1t",
 		Description: "STREAM triad on the undersized hierarchy: every array spills",
 		Hierarchy:   "small",
 		Threads:     1, Iters: 10, Period: 150,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewStream(1 << 13) },
+		Workload: func() workloads.Workload { return workloads.NewStream(1 << 13) },
 	})
 
 	// GUPS random access: DRAM-dominated latencies.
@@ -40,21 +40,21 @@ func init() {
 		Description: "GUPS random updates over a 16K-word table, 1 thread",
 		Hierarchy:   "haswell",
 		Threads:     1, Iters: 6, Period: 120,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewRandomAccess(1<<14, 3000, 11) },
+		Workload: func() workloads.Workload { return workloads.NewRandomAccess(1<<14, 3000, 11) },
 	})
 	mustRegister(Scenario{
 		Name:        "random_access_2t",
 		Description: "GUPS split into two disjoint blocks, shared L3, 2 threads",
 		Hierarchy:   "haswell",
 		Threads:     2, Iters: 6, Period: 120,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewRandomAccess(1<<14, 3000, 11) },
+		Workload: func() workloads.Workload { return workloads.NewRandomAccess(1<<14, 3000, 11) },
 	})
 	mustRegister(Scenario{
 		Name:        "random_access_noprefetch_1t",
 		Description: "GUPS with the next-line prefetcher disabled",
 		Hierarchy:   "noprefetch",
 		Threads:     1, Iters: 6, Period: 120,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewRandomAccess(1<<14, 3000, 11) },
+		Workload: func() workloads.Workload { return workloads.NewRandomAccess(1<<14, 3000, 11) },
 	})
 
 	// Pointer chase: dependency-chained loads, full memory latency.
@@ -63,14 +63,14 @@ func init() {
 		Description: "pointer chase over a 4K-node Sattolo cycle, 1 thread",
 		Hierarchy:   "haswell",
 		Threads:     1, Iters: 8, Period: 100,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewPointerChase(1<<12, 5) },
+		Workload: func() workloads.Workload { return workloads.NewPointerChase(1<<12, 5) },
 	})
 	mustRegister(Scenario{
 		Name:        "pointer_chase_2t",
 		Description: "pointer chase, two threads walking overlapping stretches of one cycle (read-only)",
 		Hierarchy:   "haswell",
 		Threads:     2, Iters: 6, Period: 100,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewPointerChase(1<<13, 5) },
+		Workload: func() workloads.Workload { return workloads.NewPointerChase(1<<13, 5) },
 	})
 
 	// Dense matmul: cache-friendly A rows, strided B columns.
@@ -79,14 +79,14 @@ func init() {
 		Description: "naive 24x24 dense multiply (ijk), 1 thread",
 		Hierarchy:   "haswell",
 		Threads:     1, Iters: 3, Period: 150,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewMatMul(24) },
+		Workload: func() workloads.Workload { return workloads.NewMatMul(24) },
 	})
 	mustRegister(Scenario{
 		Name:        "matmul_2t",
 		Description: "24x24 dense multiply row-partitioned across 2 threads",
 		Hierarchy:   "haswell",
 		Threads:     2, Iters: 3, Period: 150,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewMatMul(24) },
+		Workload: func() workloads.Workload { return workloads.NewMatMul(24) },
 	})
 
 	// CSR SpMV (7-point stencil): streamed values/columns + x gather.
@@ -95,14 +95,14 @@ func init() {
 		Description: "CSR SpMV of the 7-point stencil on a 16^3 grid, 1 thread",
 		Hierarchy:   "haswell",
 		Threads:     1, Iters: 4, Period: 150,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewSpMV(16, 16, 16) },
+		Workload: func() workloads.Workload { return workloads.NewSpMV(16, 16, 16) },
 	})
 	mustRegister(Scenario{
 		Name:        "spmv_csr_4t",
 		Description: "CSR SpMV row-partitioned across 4 threads, shared L3",
 		Hierarchy:   "haswell",
 		Threads:     4, Iters: 4, Period: 120,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewSpMV(16, 16, 16) },
+		Workload: func() workloads.Workload { return workloads.NewSpMV(16, 16, 16) },
 	})
 
 	// NUMA: the 2-socket machine with page placement. STREAM under
@@ -116,7 +116,7 @@ func init() {
 		Hierarchy:   "haswell",
 		Threads:     4, Iters: 8, Period: 100,
 		Sockets: 2, Placement: "first-touch",
-		Workload: func() workloads.ResumableWorkload { return workloads.NewStream(1 << 14) },
+		Workload: func() workloads.Workload { return workloads.NewStream(1 << 14) },
 	})
 	mustRegister(Scenario{
 		Name:        "stream_numa_il_2s4t",
@@ -124,7 +124,7 @@ func init() {
 		Hierarchy:   "haswell",
 		Threads:     4, Iters: 8, Period: 100,
 		Sockets: 2, Placement: "interleave",
-		Workload: func() workloads.ResumableWorkload { return workloads.NewStream(1 << 14) },
+		Workload: func() workloads.Workload { return workloads.NewStream(1 << 14) },
 	})
 
 	// NUMA HPCG: one worker on socket 0 of a 2-socket machine. Under

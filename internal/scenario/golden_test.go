@@ -200,7 +200,7 @@ func TestRegisterValidation(t *testing.T) {
 		t.Error("scenario without workload or HPCG accepted")
 	}
 	if err := Register(Scenario{Name: "x_bad_hier", Threads: 1, Hierarchy: "nope",
-		Workload: func() workloads.ResumableWorkload { return workloads.NewStream(8) }}); err == nil {
+		Workload: func() workloads.Workload { return workloads.NewStream(8) }}); err == nil {
 		t.Error("unknown hierarchy accepted")
 	}
 	if err := Register(Scenario{Name: "x_hpcg_4t", Threads: 4,

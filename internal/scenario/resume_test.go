@@ -22,9 +22,9 @@ import (
 // fault-injection harness, resume it from the last snapshot (round-tripped
 // through the binary codec, as simrun -checkpoint/-resume would), and
 // require the resumed run's Metrics JSON to equal the checked-in golden
-// file byte for byte. The subset covers every checkpointable path: the
-// single-thread Session, the sequential Machine, the NUMA-routed Machine
-// (page placement state) and the HPCG solver (CG vector state).
+// file byte for byte. The subset covers every path: the single-thread
+// Session, the sequential Machine, the NUMA-routed Machine (page placement
+// state) and the HPCG solver (CG vector state), flat and on two sockets.
 func TestKillAndResumeMatchesGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("goldens are amd64-generated; FMA fusion on %s perturbs float64 reductions", runtime.GOARCH)
@@ -39,9 +39,11 @@ func TestKillAndResumeMatchesGolden(t *testing.T) {
 		{name: "stream_triad_1t", every: 3, killAt: 7},
 		{name: "spmv_csr_4t", every: 5, killAt: 14},
 		{name: "stream_numa_ft_2s4t", every: 5, killAt: 14},
-		// hpcg_8_1t runs 3 CG iterations: snapshot after the second, kill
-		// entering the third.
+		// The HPCG scenarios run 3 CG iterations: snapshot after the
+		// second, kill entering the third.
 		{name: "hpcg_8_1t", every: 2, killAt: 3},
+		{name: "hpcg_numa_ft_2s1t", every: 2, killAt: 3},
+		{name: "hpcg_numa_il_2s1t", every: 2, killAt: 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -233,20 +235,6 @@ func TestResumeUnderDifferentMachineRejected(t *testing.T) {
 	}
 	if _, err := Run(sc, Options{Resume: last, Machine: spec}); err == nil {
 		t.Fatal("snapshot resumed under a different machine spec")
-	}
-}
-
-// TestNUMAHPCGCheckpointRejected pins the documented limitation: the
-// barrier-coupled parallel HPCG path has no instance-boundary snapshot
-// point and must refuse, not silently ignore, a checkpoint request.
-func TestNUMAHPCGCheckpointRejected(t *testing.T) {
-	sc, ok := Get("hpcg_numa_ft_2s1t")
-	if !ok {
-		t.Fatal("scenario missing")
-	}
-	_, err := Run(sc, Options{CheckpointEvery: 2, CheckpointSink: func(*checkpoint.Snapshot) error { return nil }})
-	if err == nil {
-		t.Fatal("NUMA HPCG accepted a checkpoint request")
 	}
 }
 

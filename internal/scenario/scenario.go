@@ -56,15 +56,13 @@ type Scenario struct {
 	// LatencyThreshold drops load samples below the threshold.
 	LatencyThreshold uint64
 	// Sockets > 0 routes the run through a NUMA Machine with that many
-	// sockets (0 keeps the historical flat-DRAM stack). NUMA scenarios
-	// always run on a Machine — even single-thread HPCG, which uses the
-	// 1-worker parallel solve (deterministic: one goroutine).
+	// sockets (0 keeps the historical flat-DRAM stack).
 	Sockets int
 	// Placement names the page placement policy for NUMA scenarios
 	// ("first-touch", "interleave"; "" = first-touch).
 	Placement string
 	// Workload builds the kernel; nil for HPCG scenarios.
-	Workload func() workloads.ResumableWorkload
+	Workload func() workloads.Workload
 	// HPCG, when non-nil, makes this an HPCG reproduction scenario.
 	HPCG *hpcg.Params
 }
@@ -88,16 +86,14 @@ type Options struct {
 	// *core.RunError.
 	Context context.Context
 	// CheckpointEvery snapshots the full simulation state every N completed
-	// instances (0: never). Requires a deterministic schedule: sequential
-	// workload scenarios and flat single-thread HPCG.
+	// instances (0: never).
 	CheckpointEvery int
 	// CheckpointSink receives each snapshot.
 	CheckpointSink func(*checkpoint.Snapshot) error
 	// CheckpointDemand, when non-nil, is polled at every instance boundary;
 	// returning true snapshots there, feeds the snapshot to CheckpointSink,
 	// and stops the run with core.ErrCheckpointDemanded — the drain
-	// primitive of the simulation server. Requires the same deterministic
-	// schedules as CheckpointEvery (see CheckpointSupported).
+	// primitive of the simulation server.
 	CheckpointDemand func() bool
 	// Resume restores a snapshot (validated against the scenario's
 	// fingerprint) and continues from its cursor; the completed run is
@@ -105,11 +101,8 @@ type Options struct {
 	Resume *checkpoint.Snapshot
 	// Progress, when non-nil, receives live instance/cycle/cache counters
 	// at the run's existing instance boundaries (atomic stores only — see
-	// core.Machine.ObserveProgress). Unlike checkpointing it imposes no
-	// schedule constraints: any scenario accepts it, and paths without
-	// instance boundaries (the NUMA parallel HPCG solve) simply leave the
-	// mailbox at its totals. Progress never appears in Metrics, so observed
-	// and unobserved runs produce byte-identical golden output.
+	// core.Machine.ObserveProgress). Progress never appears in Metrics, so
+	// observed and unobserved runs produce byte-identical golden output.
 	Progress *telemetry.Progress
 	// Machine, when non-nil, replaces the scenario's named hierarchy and
 	// NUMA topology with a declarative machine spec (simrun -machine,
@@ -235,24 +228,6 @@ func SkipReason(sc Scenario, opts Options) string {
 	return ""
 }
 
-// CheckpointSupported reports whether Run(sc, opts) accepts a Checkpointer
-// (periodic, demand or resume): the deterministic instance-boundary
-// schedules — every workload run and flat HPCG. The NUMA HPCG path runs
-// the 1-worker parallel solve, which has no instance-boundary snapshot
-// point. A server consults this before attaching a drain checkpointer to
-// a job; jobs on unsupported paths are cancelled at the drain deadline
-// instead.
-func CheckpointSupported(sc Scenario, opts Options) bool {
-	sockets := sc.Sockets
-	if opts.Machine != nil {
-		sockets = opts.Machine.Sockets
-	}
-	if opts.Sockets > 0 {
-		sockets = opts.Sockets
-	}
-	return sc.HPCG == nil || sockets == 0
-}
-
 // registry holds the scenarios in registration order; names is the
 // uniqueness index.
 var (
@@ -321,11 +296,9 @@ func Get(name string) (Scenario, bool) {
 }
 
 // Run executes the scenario deterministically and collects its canonical
-// metrics. Single-thread flat scenarios run through a Session (the
-// canonical pipeline); multi-thread — and every NUMA-routed — scenario
-// runs on a Machine under a deterministic schedule (the sequential
-// workload schedule, or the 1-worker parallel HPCG solve), so repeated
-// runs — and the fast vs. reference paths — are byte-identical.
+// metrics. Every scenario runs on a Machine under a deterministic schedule
+// (the thread-major workload schedule, or the one-thread HPCG solve), so
+// repeated runs — and the fast vs. reference paths — are byte-identical.
 func Run(sc Scenario, opts Options) (*Metrics, error) {
 	spec := opts.Machine
 	if spec != nil {
@@ -393,8 +366,7 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 	}
 
 	var ck *core.Checkpointer
-	wantCheckpoint := opts.CheckpointEvery > 0 || opts.Resume != nil || opts.CheckpointDemand != nil
-	if wantCheckpoint || opts.Progress != nil {
+	if opts.CheckpointEvery > 0 || opts.Resume != nil || opts.CheckpointDemand != nil || opts.Progress != nil {
 		tagName := sc.Name
 		if spec != nil {
 			// A machine-spec override changes the simulated hardware: make
@@ -424,23 +396,6 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 		}
 		m.Workload = "hpcg"
 		m.Iters = sc.HPCG.MaxIters
-		if numaOn {
-			if wantCheckpoint {
-				return nil, fmt.Errorf("scenario %q: checkpointing is not supported on the NUMA HPCG path (the barrier-coupled parallel solve has no instance-boundary snapshot point)", sc.Name)
-			}
-			// NUMA HPCG runs the 1-worker team solve: deterministic (one
-			// goroutine), but with no instance-boundary snapshot point.
-			run, err := core.RunHPCGParallel(opts.Context, cfg, *sc.HPCG, 1)
-			if err != nil {
-				if rerr := asRunError(err); rerr != nil && run != nil {
-					markPartial(m, rerr)
-					return m, err
-				}
-				return nil, err
-			}
-			hpcgMetrics(m, run.Machine, run.CG, run.Threads[0].Folded, run.Threads[0].Paper, levelNames)
-			return m, nil
-		}
 		run, err := core.RunHPCGCheckpointed(opts.Context, cfg, *sc.HPCG, ck)
 		if err != nil {
 			if rerr := asRunError(err); rerr != nil && run != nil {
@@ -452,7 +407,11 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 			}
 			return nil, err
 		}
-		hpcgMetrics(m, run.Session.Machine, run.CG, run.Folded, run.Paper, levelNames)
+		s := run.Session
+		m.CG = cgMetrics(run.CG)
+		m.PerThread, m.SharedL3, m.NUMA = machineMetrics(s.Machine, func(int) *folding.Folded { return run.Folded }, levelNames)
+		m.PerThread[0].Phases = paperPhaseMetrics(run.Paper, s.Hier.RemoteDRAMPossible())
+		m.Objects = objectMetrics(s.Mon.Registry().Objects(), s.Placement)
 		return m, nil
 	}
 
@@ -470,15 +429,6 @@ func Run(sc Scenario, opts Options) (*Metrics, error) {
 	m.PerThread, m.SharedL3, m.NUMA = machineMetrics(res.Machine, folded, levelNames)
 	m.Objects = objectMetrics(res.Machine.Primary().Mon.Registry().Objects(), res.Machine.Placement)
 	return m, nil
-}
-
-// hpcgMetrics fills the metrics of a completed one-thread HPCG run.
-func hpcgMetrics(m *Metrics, mach *core.Machine, cg *hpcg.CGResult, folded *folding.Folded, paper []core.PaperPhase, levelNames []string) {
-	m.CG = cgMetrics(cg)
-	m.PerThread, m.SharedL3, m.NUMA = machineMetrics(mach, func(int) *folding.Folded { return folded }, levelNames)
-	primary := mach.Primary()
-	m.PerThread[0].Phases = paperPhaseMetrics(paper, primary.Hier.RemoteDRAMPossible())
-	m.Objects = objectMetrics(primary.Mon.Registry().Objects(), mach.Placement)
 }
 
 // asRunError unwraps a clean instance-boundary stop (nil for hard

@@ -452,9 +452,8 @@ func (s *Server) resolve(req Request) (*flight, error) {
 		state:   StateQueued,
 		done:    make(chan struct{}),
 	}
-	// Demand checkpointing needs the deterministic schedules and somewhere
-	// to put the snapshot.
-	f.checkpointable = s.cfg.StateDir != "" && scenario.CheckpointSupported(sc, opts)
+	// Demand checkpointing needs somewhere to put the snapshot.
+	f.checkpointable = s.cfg.StateDir != ""
 	return f, nil
 }
 
@@ -726,8 +725,9 @@ func (s *Server) runFlight(f *flight) {
 		f.finish(StateCheckpointed, nil, err)
 
 	case errors.Is(err, context.Canceled) && errors.Is(context.Cause(ctx), errDrainCancelled):
-		// Hard drain stop of a non-checkpointable run: park the request for
-		// a from-scratch re-run after restart (when a state dir exists).
+		// Hard drain stop of a run that did not checkpoint before the
+		// deadline: park the request for a from-scratch re-run after
+		// restart (when a state dir exists).
 		if s.cfg.StateDir != "" {
 			if perr := s.park(f); perr == nil {
 				s.met.parked.Inc()

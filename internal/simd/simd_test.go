@@ -41,14 +41,14 @@ func init() {
 		Description: "test: small stream",
 		Hierarchy:   "small",
 		Threads:     1, Iters: 4, Period: 150,
-		Workload: func() workloads.ResumableWorkload { return workloads.NewStream(1 << 9) },
+		Workload: func() workloads.Workload { return workloads.NewStream(1 << 9) },
 	})
 	mustRegister(scenario.Scenario{
 		Name:        "simd_test_slow",
 		Description: "test: paced stream (reliably in flight when drains/deadlines land)",
 		Hierarchy:   "small",
 		Threads:     1, Iters: 800, Period: 150,
-		Workload: func() workloads.ResumableWorkload {
+		Workload: func() workloads.Workload {
 			return &pacedWorkload{Stream: workloads.NewStream(1 << 11), delay: 200 * time.Microsecond}
 		},
 	})
@@ -57,7 +57,7 @@ func init() {
 		Description: "test: kernel panics mid-run",
 		Hierarchy:   "small",
 		Threads:     1, Iters: 4, Period: 150,
-		Workload: func() workloads.ResumableWorkload {
+		Workload: func() workloads.Workload {
 			return &panicWorkload{Stream: workloads.NewStream(1 << 9)}
 		},
 	})
@@ -74,31 +74,15 @@ type pacedWorkload struct {
 	delay time.Duration
 }
 
-func (p *pacedWorkload) Run(ctx *workloads.Ctx, iters int) error {
-	time.Sleep(p.delay)
-	return p.Stream.Run(ctx, iters)
-}
-
-func (p *pacedWorkload) RunPartition(ctx *workloads.Ctx, iters, lo, hi int) error {
-	time.Sleep(p.delay)
-	return p.Stream.RunPartition(ctx, iters, lo, hi)
-}
-
 func (p *pacedWorkload) RunPartitionRange(ctx *workloads.Ctx, startIter, endIter, lo, hi int) error {
 	time.Sleep(p.delay)
 	return p.Stream.RunPartitionRange(ctx, startIter, endIter, lo, hi)
 }
 
-// panicWorkload sets up like a stream but panics the moment any run method
-// executes — the stand-in for a bug in a simulated kernel.
+// panicWorkload sets up like a stream but panics the moment it runs — the
+// stand-in for a bug in a simulated kernel.
 type panicWorkload struct{ *workloads.Stream }
 
-func (p *panicWorkload) Run(ctx *workloads.Ctx, iters int) error {
-	panic("simd_test: injected workload panic")
-}
-func (p *panicWorkload) RunPartition(ctx *workloads.Ctx, iters, lo, hi int) error {
-	panic("simd_test: injected workload panic")
-}
 func (p *panicWorkload) RunPartitionRange(ctx *workloads.Ctx, startIter, endIter, lo, hi int) error {
 	panic("simd_test: injected workload panic")
 }

@@ -128,25 +128,14 @@ func (s *SpMV) Setup(ctx *Ctx) error {
 	return nil
 }
 
-// Run implements Workload.
-func (s *SpMV) Run(ctx *Ctx, iters int) error {
-	return s.RunPartition(ctx, iters, 0, s.Rows())
-}
-
-// Elements implements PartitionedWorkload: the partitionable unit is a
-// matrix row.
+// Elements implements Workload: the partitionable unit is a matrix row.
 func (s *SpMV) Elements() int { return s.Rows() }
 
-// RunPartition implements PartitionedWorkload: y = A·x over rows [lo, hi).
+// RunPartitionRange implements Workload: y = A·x over rows [lo, hi).
 // Values and columns stream through the batched issue path; the x gather
 // is one indexed load per nonzero. x is read-only and the y rows are
-// disjoint per block, so concurrent partitions are race-free.
-func (s *SpMV) RunPartition(ctx *Ctx, iters int, lo, hi int) error {
-	return s.RunPartitionRange(ctx, 0, iters, lo, hi)
-}
-
-// RunPartitionRange implements ResumableWorkload. y = A·x is recomputed
-// from scratch each pass, so iterations are independent.
+// disjoint per block, so concurrent partitions are race-free. y = A·x is
+// recomputed from scratch each pass, so iterations are independent.
 func (s *SpMV) RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int) error {
 	core := ctx.Core
 	for it := startIter; it < endIter; it++ {
@@ -176,7 +165,7 @@ func (s *SpMV) RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int) e
 	return nil
 }
 
-// Value returns y[i] after Run.
+// Value returns y[i] after a run.
 func (s *SpMV) Value(i int) float64 { return s.y[i] }
 
 // Expected returns the stencil row sum for row i with x ≡ 1: the diagonal
@@ -187,9 +176,9 @@ func (s *SpMV) Expected(i int) float64 {
 
 // Interface conformance: every synthetic workload partitions and resumes.
 var (
-	_ ResumableWorkload = (*Stream)(nil)
-	_ ResumableWorkload = (*RandomAccess)(nil)
-	_ ResumableWorkload = (*PointerChase)(nil)
-	_ ResumableWorkload = (*MatMul)(nil)
-	_ ResumableWorkload = (*SpMV)(nil)
+	_ Workload = (*Stream)(nil)
+	_ Workload = (*RandomAccess)(nil)
+	_ Workload = (*PointerChase)(nil)
+	_ Workload = (*MatMul)(nil)
+	_ Workload = (*SpMV)(nil)
 )

@@ -22,47 +22,30 @@ type Ctx struct {
 	Bin  *prog.Binary
 }
 
-// Workload is a runnable instrumented kernel.
+// Workload is a runnable instrumented kernel whose per-iteration work
+// splits into disjoint element ranges, one per simulated hardware thread —
+// the OpenMP-style static partitioning a multi-core Machine drives. Each
+// thread runs its own static block with its own Ctx (its core and
+// monitor); the element data is shared and the blocks are disjoint. Any
+// iteration window runs on its own, which is what lets the checkpointed
+// run drivers stop between iterations and continue later.
 type Workload interface {
 	// Name identifies the workload.
 	Name() string
 	// Setup registers code in the binary and allocates data. It must be
 	// called once, before monitoring starts.
 	Setup(ctx *Ctx) error
-	// Run executes iters instrumented iterations.
-	Run(ctx *Ctx, iters int) error
 	// Region returns the foldable per-iteration region id (valid after
 	// Setup).
 	Region() extrae.Region
-}
-
-// PartitionedWorkload is a Workload whose per-iteration work splits into
-// disjoint element ranges, one per simulated hardware thread — the
-// OpenMP-style static partitioning a multi-core Machine drives. Each
-// thread calls RunPartition with its own Ctx (its core and monitor) and
-// its static block; the element data is shared, the blocks are disjoint,
-// so concurrent partitions are race-free by construction.
-type PartitionedWorkload interface {
-	Workload
 	// Elements returns the partitionable element count (valid after Setup).
 	Elements() int
-	// RunPartition executes iters instrumented iterations over elements
-	// [lo, hi). Run(ctx, iters) must equal RunPartition(ctx, iters, 0,
-	// Elements()).
-	RunPartition(ctx *Ctx, iters int, lo, hi int) error
-}
-
-// ResumableWorkload is a PartitionedWorkload that can execute an arbitrary
-// iteration window, reconstructing any per-partition state (such as an RNG
-// position) from the start iteration. This is what lets the checkpointed
-// run drivers stop between iterations and continue later: running
-// [0, k) then [k, n) must be indistinguishable — in simulated accesses,
-// not just in results — from running [0, n) in one call.
-type ResumableWorkload interface {
-	PartitionedWorkload
 	// RunPartitionRange executes instrumented iterations [startIter,
-	// endIter) over elements [lo, hi). RunPartition(ctx, iters, lo, hi)
-	// must equal RunPartitionRange(ctx, 0, iters, lo, hi).
+	// endIter) over elements [lo, hi), reconstructing any per-partition
+	// state (such as an RNG position) from startIter: running [0, k) then
+	// [k, n) must be indistinguishable — in simulated accesses, not just in
+	// results — from running [0, n) in one call. A whole run is
+	// RunPartitionRange(ctx, 0, iters, 0, Elements()).
 	RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int) error
 }
 
@@ -137,30 +120,20 @@ func (s *Stream) Setup(ctx *Ctx) error {
 	return nil
 }
 
-// Run implements Workload. The triad's three arrays are swept in cache-line
-// chunks through the core's batched stream-issue API: one hierarchy probe
-// per line crossing instead of one per element.
-func (s *Stream) Run(ctx *Ctx, iters int) error {
-	return s.RunPartition(ctx, iters, 0, s.N)
-}
-
-// Elements implements PartitionedWorkload.
+// Elements implements Workload.
 func (s *Stream) Elements() int { return s.N }
 
-// RunPartition implements PartitionedWorkload: the triad over elements
-// [lo, hi). Partitions touch disjoint slices of a, so a Machine's threads
-// run their blocks concurrently without synchronization. Each line chunk
-// is handed to the simulator as one three-run LineRun batch (loads of b
-// and c, store of a) — the real arithmetic does not touch the simulator,
-// so issuing the store run back-to-back with the loads preserves the
-// simulated access order of the per-call form exactly.
-func (s *Stream) RunPartition(ctx *Ctx, iters int, lo, hi int) error {
-	return s.RunPartitionRange(ctx, 0, iters, lo, hi)
-}
-
-// RunPartitionRange implements ResumableWorkload. Iterations are
-// independent (the triad recomputes a from b and c every pass), so any
-// window runs as-is.
+// RunPartitionRange implements Workload: the triad over elements [lo, hi).
+// The three arrays are swept in cache-line chunks through the core's
+// batched stream-issue API: one hierarchy probe per line crossing instead
+// of one per element. Partitions touch disjoint slices of a, so a
+// Machine's threads run their blocks concurrently without
+// synchronization. Each line chunk is handed to the simulator as one
+// three-run LineRun batch (loads of b and c, store of a) — the real
+// arithmetic does not touch the simulator, so issuing the store run
+// back-to-back with the loads preserves the simulated access order of the
+// per-call form exactly. Iterations are independent (the triad recomputes
+// a from b and c every pass), so any window runs as-is.
 func (s *Stream) RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int) error {
 	core := ctx.Core
 	const chunk = 8 // float64s per 64-byte line
@@ -189,7 +162,7 @@ func (s *Stream) RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int)
 // Expected returns the triad result for element i (for verification).
 func (s *Stream) Expected(i int) float64 { return float64(i) + s.Scale }
 
-// Value returns a[i] after Run.
+// Value returns a[i] after a run.
 func (s *Stream) Value(i int) float64 { return s.a[i] }
 
 // RandomAccess is a GUPS-like kernel: random read-modify-write updates over
@@ -251,27 +224,18 @@ func (r *RandomAccess) Setup(ctx *Ctx) error {
 	return nil
 }
 
-// Run implements Workload.
-func (r *RandomAccess) Run(ctx *Ctx, iters int) error {
-	return r.RunPartition(ctx, iters, 0, r.N)
-}
-
-// Elements implements PartitionedWorkload.
+// Elements implements Workload.
 func (r *RandomAccess) Elements() int { return r.N }
 
-// RunPartition implements PartitionedWorkload: random updates confined to
-// table indices [lo, hi), with the per-iteration update count scaled by the
-// block share. Each partition derives its own index stream from Seed+lo, so
-// concurrent blocks write disjoint table slices without sharing an RNG.
-func (r *RandomAccess) RunPartition(ctx *Ctx, iters int, lo, hi int) error {
-	return r.RunPartitionRange(ctx, 0, iters, lo, hi)
-}
-
-// RunPartitionRange implements ResumableWorkload. The index stream is the
-// only cross-iteration state; it is repositioned by redrawing the first
-// startIter iterations' indices (rejection sampling makes the consumed
-// generator state depend on the drawn values, so skipping must replay the
-// identical Intn calls, not jump the generator).
+// RunPartitionRange implements Workload: random updates confined to table
+// indices [lo, hi), with the per-iteration update count scaled by the
+// block share. Each partition derives its own index stream from Seed+lo,
+// so concurrent blocks write disjoint table slices without sharing an
+// RNG. The index stream is the only cross-iteration state; it is
+// repositioned by redrawing the first startIter iterations' indices
+// (rejection sampling makes the consumed generator state depend on the
+// drawn values, so skipping must replay the identical Intn calls, not
+// jump the generator).
 func (r *RandomAccess) RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int) error {
 	core := ctx.Core
 	rng := rand.New(rand.NewSource(r.Seed + int64(lo)))
@@ -356,24 +320,14 @@ func (p *PointerChase) Setup(ctx *Ctx) error {
 	return nil
 }
 
-// Run implements Workload.
-func (p *PointerChase) Run(ctx *Ctx, iters int) error {
-	return p.RunPartition(ctx, iters, 0, p.N)
-}
-
-// Elements implements PartitionedWorkload.
+// Elements implements Workload.
 func (p *PointerChase) Elements() int { return p.N }
 
-// RunPartition implements PartitionedWorkload: chase hi-lo steps along the
-// global cycle starting at node lo. The next-pointer array is read-only, so
-// partitions walking overlapping stretches of the cycle stay race-free;
-// each block still issues one dependent load per step.
-func (p *PointerChase) RunPartition(ctx *Ctx, iters int, lo, hi int) error {
-	return p.RunPartitionRange(ctx, 0, iters, lo, hi)
-}
-
-// RunPartitionRange implements ResumableWorkload. Every iteration restarts
-// the walk at node lo, so iterations are independent.
+// RunPartitionRange implements Workload: chase hi-lo steps along the
+// global cycle starting at node lo. The next-pointer array is read-only,
+// so partitions walking overlapping stretches of the cycle stay race-free;
+// each block still issues one dependent load per step. Every iteration
+// restarts the walk at node lo, so iterations are independent.
 func (p *PointerChase) RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int) error {
 	core := ctx.Core
 	for it := startIter; it < endIter; it++ {
@@ -453,23 +407,12 @@ func (m *MatMul) Setup(ctx *Ctx) error {
 	return nil
 }
 
-// Run implements Workload.
-func (m *MatMul) Run(ctx *Ctx, iters int) error {
-	return m.RunPartition(ctx, iters, 0, m.N)
-}
-
-// Elements implements PartitionedWorkload: the partitionable unit is a row
-// of C.
+// Elements implements Workload: the partitionable unit is a row of C.
 func (m *MatMul) Elements() int { return m.N }
 
-// RunPartition implements PartitionedWorkload: compute rows [lo, hi) of C.
-// A and B are read-only and the C rows are disjoint per block, so the
-// OpenMP-style i-loop partitioning is race-free.
-func (m *MatMul) RunPartition(ctx *Ctx, iters int, lo, hi int) error {
-	return m.RunPartitionRange(ctx, 0, iters, lo, hi)
-}
-
-// RunPartitionRange implements ResumableWorkload. Each iteration recomputes
+// RunPartitionRange implements Workload: compute rows [lo, hi) of C. A
+// and B are read-only and the C rows are disjoint per block, so the
+// OpenMP-style i-loop partitioning is race-free. Each iteration recomputes
 // C from the constant A and B, so iterations are independent.
 func (m *MatMul) RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int) error {
 	core := ctx.Core
@@ -494,5 +437,5 @@ func (m *MatMul) RunPartitionRange(ctx *Ctx, startIter, endIter int, lo, hi int)
 	return nil
 }
 
-// Value returns C[i][j] after Run.
+// Value returns C[i][j] after a run.
 func (m *MatMul) Value(i, j int) float64 { return m.c[i*m.N+j] }

@@ -35,6 +35,11 @@ func newCtx(t *testing.T) *Ctx {
 	return &Ctx{Core: core, Mon: mon, Bin: bin}
 }
 
+// runWhole runs iters iterations of w over all its elements: a whole run.
+func runWhole(w Workload, ctx *Ctx, iters int) error {
+	return w.RunPartitionRange(ctx, 0, iters, 0, w.Elements())
+}
+
 func TestStreamMathAndNames(t *testing.T) {
 	ctx := newCtx(t)
 	s := NewStream(1 << 12)
@@ -44,7 +49,7 @@ func TestStreamMathAndNames(t *testing.T) {
 	if err := s.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(ctx, 2); err != nil {
+	if err := runWhole(s, ctx, 2); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < s.N; i += 100 {
@@ -71,7 +76,7 @@ func TestStreamLoadStoreRatio(t *testing.T) {
 	if err := s.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(ctx, 1); err != nil {
+	if err := runWhole(s, ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	p := ctx.Core.PMU()
@@ -92,7 +97,7 @@ func TestRandomAccessDRAMBound(t *testing.T) {
 	if err := r.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Run(ctx, 1); err != nil {
+	if err := runWhole(r, ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	h := ctx.Core.Hierarchy()
@@ -139,7 +144,7 @@ func TestPointerChaseVisitsEveryNode(t *testing.T) {
 	if node != 0 {
 		t.Error("chase did not return to start")
 	}
-	if err := p.Run(ctx, 1); err != nil {
+	if err := runWhole(p, ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := ctx.Core.PMU().True(cpu.CtrLoads); got != uint64(p.N) {
@@ -163,7 +168,7 @@ func TestMatMulMath(t *testing.T) {
 	if err := m.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Run(ctx, 1); err != nil {
+	if err := runWhole(m, ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	// A all ones, B all twos: C[i][j] = N * 1 * 2 = 32.
@@ -207,7 +212,7 @@ func TestSpMVMath(t *testing.T) {
 	if err := s.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Run(ctx, 1); err != nil {
+	if err := runWhole(s, ctx, 1); err != nil {
 		t.Fatal(err)
 	}
 	// x ≡ 1: each row sums to 6 minus the number of present neighbours —
@@ -239,11 +244,12 @@ func TestSpMVValidation(t *testing.T) {
 // sweeps (triad, SpMV, matmul) the outputs equal their closed forms; for
 // random access the per-block update counts land (each block scales
 // UpdatesPerIter by its share, so the 3-way total may round a few updates
-// below one full Run's); for pointer chase the step counts sum to one full
-// cycle. (Exact Run == RunPartition(0, N) equality through the whole stack
-// is pinned by core's TestPartitionSingleThreadIdenticalToSession.)
+// below one whole run's); for pointer chase the step counts sum to one full
+// cycle. (Exact equality of a whole-window run with per-instance windows
+// through the whole stack is pinned by core's
+// TestPartitionSingleThreadIdenticalToSession.)
 func TestPartitionsCoverElements(t *testing.T) {
-	run3 := func(t *testing.T, w PartitionedWorkload) *Ctx {
+	run3 := func(t *testing.T, w Workload) *Ctx {
 		t.Helper()
 		ctx := newCtx(t)
 		if err := w.Setup(ctx); err != nil {
@@ -252,7 +258,7 @@ func TestPartitionsCoverElements(t *testing.T) {
 		n := w.Elements()
 		for p := 0; p < 3; p++ {
 			lo, hi := p*n/3, (p+1)*n/3
-			if err := w.RunPartition(ctx, 1, lo, hi); err != nil {
+			if err := w.RunPartitionRange(ctx, 0, 1, lo, hi); err != nil {
 				t.Fatal(err)
 			}
 		}
